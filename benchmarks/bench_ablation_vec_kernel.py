@@ -1,7 +1,8 @@
-"""Benchmark: the three Det kernels on one raw inclusion-exclusion query.
+"""Benchmark: the Det kernels on one raw inclusion-exclusion query.
 
 ``repro.core.exact`` registers three kernels for Algorithm 1's sum over
-the 2^n dominator subsets:
+the 2^n dominator subsets, plus the default ``"auto"``, which routes each
+component to ``"fast"`` or ``"vec"`` by its dominator count:
 
 * ``"reference"`` — the seed's recursive transcription with per-term
   provenance accounting (the oracle, and the only kernel honouring
@@ -16,10 +17,10 @@ the 2^n dominator subsets:
 The workload is a single uniform-data query at d=5, where nearly every
 competitor survives dominance filtering — the regime where the term
 space is largest and kernel overhead dominates.  The registered
-``ablation_vec_kernel`` experiment (``python -m repro.bench run
-ablation_vec_kernel``) records the full sweep in
-``results/ablation_vec_kernel.{json,md}``; this module is its
-pytest-benchmark twin at a CI-friendly size.
+``ablation_vec_kernel`` experiment (``python -m repro.bench
+ablation_vec_kernel``) records the full per-size sweep that sets the
+routing crossover in ``results/ablation_vec_kernel.{json,md}``; this
+module is its pytest-benchmark twin at a CI-friendly size.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ from repro.core.batch import (
     batch_skyline_probabilities,
 )
 from repro.core.exact import (
+    DEFAULT_DET_KERNEL,
     DEFAULT_MAX_OBJECTS,
     DET_KERNELS,
     ExactResult,
@@ -119,6 +120,7 @@ __all__ = [
     "dominance_probability",
     "dominates_under",
     "joint_dominance_probability",
+    "DEFAULT_DET_KERNEL",
     "DEFAULT_MAX_OBJECTS",
     "DET_KERNELS",
     "ExactResult",

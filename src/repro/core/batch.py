@@ -77,6 +77,7 @@ from repro.core.engine import (
     SkylineProbabilityEngine,
     SkylineReport,
 )
+from repro.core.exact import DEFAULT_DET_KERNEL
 from repro.core.objects import Dataset
 from repro.core.preferences import PreferenceModel
 from repro.errors import ReproError, RobustnessPolicyError
@@ -512,7 +513,7 @@ def batch_skyline_probabilities(
     seeds: Sequence[object] | None = None,
     use_absorption: bool = True,
     use_partition: bool = True,
-    det_kernel: str = "fast",
+    det_kernel: str = DEFAULT_DET_KERNEL,
     deadline: float | None = None,
     on_deadline: str = "degrade",
     max_overrun: float | None = None,
@@ -558,7 +559,11 @@ def batch_skyline_probabilities(
     epsilon, delta, samples, seed, use_absorption, use_partition, det_kernel:
         As in :meth:`SkylineProbabilityEngine.skyline_probability`.
         ``seed`` feeds one spawned stream per object for the sampling
-        methods, so a fixed seed fixes the whole batch output.
+        methods, so a fixed seed fixes the whole batch output.  The
+        default ``det_kernel="auto"`` picks each component's kernel from
+        its dominator count alone, so batch answers equal the
+        per-object loop's bit for bit under it, as under every pinned
+        kernel.
     seeds:
         Explicit per-object seed-likes (one entry per queried object,
         each anything :func:`repro.util.rng.as_rng` accepts), overriding

@@ -55,6 +55,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 import repro.obs as obs
 from repro.core.dominance import DominanceCache
 from repro.core.exact import (
+    DEFAULT_DET_KERNEL,
     DEFAULT_MAX_OBJECTS,
     DET_KERNELS,
     ExactResult,
@@ -193,10 +194,16 @@ class DynamicSkylineEngine:
         Algorithm 1 kernel used for every component solve — both the
         initial view build and all warm recomputes, so a view is always
         bit-identical to a fresh rebuild under the same kernel.  One of
-        :data:`~repro.core.exact.DET_KERNELS`; ``"vec"`` trades the
-        recursive kernels' bit-for-bit reproducibility against
-        ``"fast"`` for roughly an order of magnitude on large
-        components (answers agree within 1e-12).
+        :data:`~repro.core.exact.DET_KERNELS`.  The default ``"auto"``
+        routes each component by its dominator count (``"fast"`` below
+        8, ``"vec"`` from 8 to 26), a pure function of the component,
+        so the warm-vs-rebuild identity holds for it too; ``"vec"``
+        trades the recursive kernels' bit-for-bit reproducibility
+        against ``"reference"`` for roughly an order of magnitude on
+        large components (answers agree within 1e-12).  Snapshots from
+        :meth:`save_view` record the kernel, and :meth:`load_view`
+        restores it: a snapshot written while ``"fast"`` was the
+        default names ``"fast"`` and keeps that kernel.
 
     The engine is not thread-safe for concurrent edits; reads of the
     maintained view are plain attribute reads and may race an edit only
@@ -214,7 +221,7 @@ class DynamicSkylineEngine:
         *,
         max_exact_objects: int = DEFAULT_MAX_OBJECTS,
         fault_injector: object = None,
-        det_kernel: str = "fast",
+        det_kernel: str = DEFAULT_DET_KERNEL,
     ) -> None:
         if det_kernel not in DET_KERNELS:
             raise ReproError(

@@ -40,6 +40,7 @@ from repro.core.bounds import (
 )
 from repro.core.dominance import DominanceCache
 from repro.core.exact import (
+    DEFAULT_DET_KERNEL,
     DEFAULT_MAX_OBJECTS,
     DET_KERNELS,
     ExactResult,
@@ -182,7 +183,7 @@ class SkylineProbabilityEngine:
         seed: object = None,
         use_absorption: bool = True,
         use_partition: bool = True,
-        det_kernel: str = "fast",
+        det_kernel: str = DEFAULT_DET_KERNEL,
         cache: DominanceCache | None = None,
         deadline: float | None = None,
         on_deadline: str = "degrade",
@@ -213,12 +214,16 @@ class SkylineProbabilityEngine:
         ``epsilon``/``delta``/``samples``/``seed`` only matter for the
         sampling methods; the ``use_*`` switches only for the ``+``/
         ``auto`` methods (ablation hooks).  ``det_kernel`` picks the
-        Algorithm 1 evaluation kernel (:data:`~repro.core.exact.DET_KERNELS`:
-        ``"fast"``/``"reference"`` are bit-for-bit identical with
-        ``"reference"`` the slower seed transcription kept for
-        differential testing; ``"vec"`` is the NumPy subset-doubling
-        kernel — same provenance counters, probability within 1e-12,
-        much faster on large partitions).  ``cache`` is
+        Algorithm 1 evaluation kernel (:data:`~repro.core.exact.DET_KERNELS`):
+        the default ``"auto"`` solves each partition with ``"fast"``
+        below 8 dominators (and above ``"vec"``'s 26-object ceiling)
+        and with ``"vec"`` from 8 to 26, so its answer equals
+        ``"reference"`` bit for bit on small partitions and within
+        1e-12 on large ones; ``"fast"``/``"reference"`` are bit-for-bit
+        identical with ``"reference"`` the slower seed transcription
+        kept for differential testing; ``"vec"`` is the NumPy
+        subset-doubling kernel — same provenance counters, probability
+        within 1e-12, much faster on large partitions.  ``cache`` is
         an optional :class:`~repro.core.dominance.DominanceCache` shared
         across queries (see :meth:`skyline_probabilities`); it never
         changes the answer.
@@ -233,7 +238,8 @@ class SkylineProbabilityEngine:
         flagged ``degraded=True`` with the reason recorded;
         ``"raise"`` propagates
         :class:`~repro.errors.DeadlineExceededError`.  An armed deadline
-        routes ``"fast"`` exact work through the ``"reference"`` kernel
+        routes ``"fast"`` exact work (including the small partitions
+        ``"auto"`` gives ``"fast"``) through the ``"reference"`` kernel
         (same bit-for-bit answer, per-term accounting); ``"vec"`` checks
         the deadline natively between its doubling levels.  ``sam``/
         ``sam+``/``naive`` have predictable cost and ignore the deadline.
@@ -492,7 +498,7 @@ class SkylineProbabilityEngine:
         seed: object,
         use_absorption: bool,
         use_partition: bool,
-        det_kernel: str = "fast",
+        det_kernel: str = DEFAULT_DET_KERNEL,
         cache: DominanceCache | None = None,
         deadline_at: float | None = None,
     ) -> SkylineReport:
@@ -587,7 +593,7 @@ class SkylineProbabilityEngine:
         samples: int | None,
         seed: object,
         method_name: str,
-        det_kernel: str = "fast",
+        det_kernel: str = DEFAULT_DET_KERNEL,
         cache: DominanceCache | None = None,
         deadline_at: float | None = None,
     ) -> SkylineReport:

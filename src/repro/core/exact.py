@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import repro.obs as obs
 from repro.core.dominance import DominanceCache, DominanceFactor, factor_source
@@ -44,8 +44,11 @@ from repro.core.preferences import PreferenceModel
 from repro.errors import ComputationBudgetError, DeadlineExceededError
 
 __all__ = [
+    "DEFAULT_DET_KERNEL",
     "DEFAULT_MAX_OBJECTS",
     "DET_KERNELS",
+    "VEC_CROSSOVER",
+    "VEC_MAX_OBJECTS",
     "ExactResult",
     "skyline_probability_det",
     "det_from_factor_lists",
@@ -67,8 +70,30 @@ DEFAULT_MAX_OBJECTS = 25
 #: ``terms_evaluated``/``objects_used`` provenance, probability equal to
 #: the recursive kernels within 1e-12 (relative, or absolute under
 #: inclusion-exclusion cancellation; summation order differs),
-#: roughly an order of magnitude faster at n ≈ 20 dominators.
-DET_KERNELS = ("fast", "reference", "vec")
+#: roughly an order of magnitude faster at n ≈ 20 dominators.  "auto"
+#: is no fourth evaluation: it routes each component to "fast" or "vec"
+#: by its post-filter dominator count (see :func:`_solve`).
+DET_KERNELS = ("auto", "fast", "reference", "vec")
+
+#: The ``kernel``/``det_kernel`` default of every exact entry point (the
+#: engine, batch planner, restriction planner, dynamic engine, shard
+#: coordinator and the serving coalescer's bucket key all use it).
+DEFAULT_DET_KERNEL = "auto"
+
+#: Smallest dominator count "auto" routes to "vec".  The kernel sweep in
+#: ``results/ablation_vec_kernel.md`` (medians of repeated calls, uniform
+#: d=5 and block-zipf d=4 components) has "fast" 1.2-2.3x faster than
+#: "vec" at 1-6 dominators (vec pays a fixed NumPy cost per call), "fast"
+#: ahead or level at 7 (1.4x and 1.0x), "vec" ahead or level at 8 (1.4x
+#: and 1.0x), and "vec" 1.7-2.4x faster at 9, 8-12x at 12 and 34-76x at
+#: 15-20.
+VEC_CROSSOVER = 8
+
+#: Hard ceiling on the "vec" kernel's dominator count: its dense subset
+#: array holds ``2^n`` float64s, so n = 26 already commits 512 MiB.
+#: Beyond it "vec" refuses rather than thrash and "auto" stays on "fast",
+#: which streams the lattice in O(n) memory.
+VEC_MAX_OBJECTS = 26
 
 #: Inclusion-exclusion terms between wall-clock deadline checks.  A
 #: bitmask interval keeps the per-term cost of an armed deadline to one
@@ -112,29 +137,25 @@ class ExactResult:
     objects_used: int
 
 
-def _prepare_factor_lists(
-    preferences: PreferenceModel,
-    competitors: Sequence[Sequence[Value]],
-    target: Sequence[Value],
-    cache: DominanceCache | None = None,
+def _keep_dominators(
+    factor_lists: Iterable[Sequence[DominanceFactor]],
 ) -> List[Sequence[DominanceFactor]] | None:
-    """Factor lists of competitors that can dominate ``target`` at all.
+    """The factor lists of competitors that can dominate the target at all.
 
-    Returns ``None`` when some competitor duplicates ``target`` (then it
-    dominates with probability 1 by convention and ``sky = 0``).
-    Competitors with any zero factor are dropped: every subset containing
-    them has ``Pr(E_I) = 0``.
+    Returns ``None`` at the first empty list: that competitor duplicates
+    the target, so it dominates with probability 1 and ``sky = 0`` (the
+    rest of a lazy ``factor_lists`` is then never computed).  Competitors
+    with any zero factor are dropped: every subset containing them has
+    ``Pr(E_I) = 0``.
     """
-    factors_of = factor_source(preferences, cache)
-    factor_lists: List[Sequence[DominanceFactor]] = []
-    for q in competitors:
-        factors = factors_of(q, target)
+    kept: List[Sequence[DominanceFactor]] = []
+    for factors in factor_lists:
         if not factors:
             return None
         if any(probability == 0.0 for _, _, probability in factors):
             continue
-        factor_lists.append(factors)
-    return factor_lists
+        kept.append(factors)
+    return kept
 
 
 def _clamp_probability(value: float) -> float:
@@ -149,7 +170,7 @@ def skyline_probability_det(
     max_objects: int = DEFAULT_MAX_OBJECTS,
     max_terms: int | None = None,
     share_computation: bool = True,
-    kernel: str = "fast",
+    kernel: str = DEFAULT_DET_KERNEL,
     cache: DominanceCache | None = None,
     deadline_at: float | None = None,
 ) -> ExactResult:
@@ -177,14 +198,17 @@ def skyline_probability_det(
         ``False`` recomputes every ``Pr(E_I)`` from scratch — only useful
         as the ablation baseline for the sharing technique.
     kernel:
-        One of :data:`DET_KERNELS`.  ``"fast"`` (default) and
-        ``"reference"`` run the identical float-operation sequence and
-        return bit-for-bit equal results; ``"reference"`` is the original
-        transcription kept as the differential-test / benchmark baseline.
-        ``"vec"`` evaluates the subset lattice with NumPy array doubling
-        (:mod:`repro.core.exact_vec`): same provenance counters, the
-        probability agrees within 1e-12 (relative, or absolute under
-        cancellation), and large
+        One of :data:`DET_KERNELS`.  ``"auto"`` (default) solves with
+        ``"fast"`` below :data:`VEC_CROSSOVER` post-filter dominators and
+        above :data:`VEC_MAX_OBJECTS`, and with ``"vec"`` in between, so
+        its answer is ``"fast"``'s or ``"vec"``'s bit for bit.
+        ``"fast"`` and ``"reference"`` run the identical float-operation
+        sequence and return bit-for-bit equal results; ``"reference"``
+        is the original transcription kept as the differential-test /
+        benchmark baseline.  ``"vec"`` evaluates the subset lattice with
+        NumPy array doubling (:mod:`repro.core.exact_vec`): same
+        provenance counters, the probability agrees within 1e-12
+        (relative, or absolute under cancellation), and large
         partitions run roughly an order of magnitude faster.
     cache:
         Optional :class:`~repro.core.dominance.DominanceCache` shared
@@ -200,50 +224,22 @@ def skyline_probability_det(
         level is milliseconds at feasible ``n``).  The unarmed happy
         path pays nothing either way.
     """
-    if kernel not in DET_KERNELS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; expected one of {DET_KERNELS}"
-        )
-    _check_deadline(deadline_at, 0)
-    factor_lists = _prepare_factor_lists(preferences, competitors, target, cache)
-    if factor_lists is None:
-        # Duplicate convention: an equal competitor dominates with
-        # probability 1, so sky = 0 and *no* object survives the filter
-        # to take part in any enumeration — objects_used is 0.
-        obs.count(
-            "repro_duplicate_targets_total",
-            help_text="Queries answered 0 by the duplicate-target convention.",
-        )
-        return ExactResult(0.0, 0, 0)
-    n = len(factor_lists)
-    if n > max_objects:
-        raise ComputationBudgetError(
-            f"exact enumeration over {n} dominance events needs up to "
-            f"2^{n} terms, beyond the max_objects={max_objects} budget; "
-            f"preprocess (absorption/partition) or use sampling"
-        )
-    with obs.stage("exact"):
-        if not share_computation:
-            result = _det_without_sharing(factor_lists, max_terms, deadline_at)
-        elif kernel == "vec" and max_terms is None:
-            # Imported lazily: exact_vec imports this module for the
-            # shared helpers, so a top-level import would be circular.
-            from repro.core.exact_vec import det_shared_vec
-
-            result = det_shared_vec(factor_lists, deadline_at)
-        elif kernel != "fast" or max_terms is not None or deadline_at is not None:
-            result = _det_shared_reference(factor_lists, max_terms, deadline_at)
-        else:
-            result = _det_shared_fast(factor_lists)
-    _record_exact(result)
-    return result
+    factors_of = factor_source(preferences, cache)
+    return _solve(
+        (factors_of(q, target) for q in competitors),
+        max_objects=max_objects,
+        max_terms=max_terms,
+        share_computation=share_computation,
+        kernel=kernel,
+        deadline_at=deadline_at,
+    )
 
 
 def det_from_factor_lists(
     factor_lists: Sequence[Sequence[DominanceFactor]],
     *,
     max_objects: int = DEFAULT_MAX_OBJECTS,
-    kernel: str = "fast",
+    kernel: str = DEFAULT_DET_KERNEL,
     deadline_at: float | None = None,
 ) -> ExactResult:
     """Exact ``sky`` from precomputed per-competitor factor lists.
@@ -254,27 +250,54 @@ def det_from_factor_lists(
     *slices* them per subspace.  Semantics match the object-level entry
     point exactly: an empty factor tuple means the competitor coincides
     with the target on every dimension considered (duplicate convention,
-    ``sky = 0``), zero-factor competitors are dropped, and the surviving
-    count is guarded by ``max_objects``.
+    ``sky = 0``), zero-factor competitors are dropped, the surviving
+    count is guarded by ``max_objects``, and ``kernel`` routes the same
+    way.
+    """
+    return _solve(
+        factor_lists,
+        max_objects=max_objects,
+        kernel=kernel,
+        deadline_at=deadline_at,
+    )
+
+
+def _solve(
+    factor_lists: Iterable[Sequence[DominanceFactor]],
+    *,
+    max_objects: int,
+    kernel: str,
+    deadline_at: float | None,
+    max_terms: int | None = None,
+    share_computation: bool = True,
+) -> ExactResult:
+    """Filter, guard, route and solve one component for both entry points.
+
+    The kernel rule lives here, once.  ``"auto"`` is resolved from the
+    post-filter dominator count ``n`` alone, so it is a pure function of
+    the component: ``"vec"`` for ``VEC_CROSSOVER <= n <= VEC_MAX_OBJECTS``,
+    ``"fast"`` otherwise.  A set ``max_terms`` needs per-term accounting,
+    which only ``"reference"`` has; an armed deadline turns ``"fast"``
+    into the bit-identical ``"reference"`` (which checks it every 1024
+    terms), while ``"vec"`` checks it natively between doubling levels.
+    Private, so the public functions stay the only places a caller (or
+    a tracer wrapping them) enters the exact layer.
     """
     if kernel not in DET_KERNELS:
         raise ValueError(
             f"unknown kernel {kernel!r}; expected one of {DET_KERNELS}"
         )
     _check_deadline(deadline_at, 0)
-    kept: List[Sequence[DominanceFactor]] = []
-    for factors in factor_lists:
-        if not factors:
-            obs.count(
-                "repro_duplicate_targets_total",
-                help_text=(
-                    "Queries answered 0 by the duplicate-target convention."
-                ),
-            )
-            return ExactResult(0.0, 0, 0)
-        if any(probability == 0.0 for _, _, probability in factors):
-            continue
-        kept.append(factors)
+    kept = _keep_dominators(factor_lists)
+    if kept is None:
+        # Duplicate convention: an equal competitor dominates with
+        # probability 1, so sky = 0 and *no* object survives the filter
+        # to take part in any enumeration — objects_used is 0.
+        obs.count(
+            "repro_duplicate_targets_total",
+            help_text="Queries answered 0 by the duplicate-target convention.",
+        )
+        return ExactResult(0.0, 0, 0)
     n = len(kept)
     if n > max_objects:
         raise ComputationBudgetError(
@@ -282,13 +305,19 @@ def det_from_factor_lists(
             f"2^{n} terms, beyond the max_objects={max_objects} budget; "
             f"preprocess (absorption/partition) or use sampling"
         )
+    if kernel == "auto":
+        kernel = "vec" if VEC_CROSSOVER <= n <= VEC_MAX_OBJECTS else "fast"
     with obs.stage("exact"):
-        if kernel == "vec":
+        if not share_computation:
+            result = _det_without_sharing(kept, max_terms, deadline_at)
+        elif kernel == "vec" and max_terms is None:
+            # Imported lazily: exact_vec imports this module for the
+            # shared helpers, so a top-level import would be circular.
             from repro.core.exact_vec import det_shared_vec
 
             result = det_shared_vec(kept, deadline_at)
-        elif kernel != "fast" or deadline_at is not None:
-            result = _det_shared_reference(kept, None, deadline_at)
+        elif kernel != "fast" or max_terms is not None or deadline_at is not None:
+            result = _det_shared_reference(kept, max_terms, deadline_at)
         else:
             result = _det_shared_fast(kept)
     _record_exact(result)
@@ -553,7 +582,8 @@ def _layer_sums(
     """Layer sums plus the post-filter competitor count ``n``."""
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
-    factor_lists = _prepare_factor_lists(preferences, competitors, target)
+    factors_of = factor_source(preferences)
+    factor_lists = _keep_dominators(factors_of(q, target) for q in competitors)
     if factor_lists is None:
         raise ComputationBudgetError(
             "a competitor duplicates the target; sky(target) is 0 and "

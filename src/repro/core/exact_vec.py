@@ -51,6 +51,10 @@ Contracts mirrored from the recursive kernels
   analogue in the per-term accounting contract, so the dispatcher in
   :mod:`repro.core.exact` routes a set ``max_terms`` to the reference
   traversal instead.
+* The dominator count is capped at ``VEC_MAX_OBJECTS`` (defined beside
+  the dispatcher, which routes ``"auto"`` by it): the dense array holds
+  ``2^n`` float64s, so beyond the cap the kernel refuses rather than
+  thrash.
 
 Numerics: identical inputs always produce bit-identical results (the
 evaluation order is fixed), and the probability matches the recursive
@@ -68,6 +72,7 @@ import numpy as np
 
 from repro.core.dominance import DominanceFactor
 from repro.core.exact import (
+    VEC_MAX_OBJECTS,
     ExactResult,
     _check_deadline,
     _clamp_probability,
@@ -76,12 +81,6 @@ from repro.core.exact import (
 from repro.errors import ComputationBudgetError
 
 __all__ = ["VEC_MAX_OBJECTS", "det_shared_vec"]
-
-#: Hard ceiling on the dominator count: the dense subset array holds
-#: ``2^n`` float64s, so n = 26 already commits 512 MiB.  Beyond this the
-#: kernel refuses rather than thrash; use preprocessing, sampling, or the
-#: recursive kernels (which stream the lattice in O(n) memory).
-VEC_MAX_OBJECTS = 26
 
 
 def det_shared_vec(

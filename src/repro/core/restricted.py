@@ -47,6 +47,7 @@ from repro.core.bounds import validate_accuracy
 from repro.core.dominance import DominanceCache, DominanceFactor, factor_source
 from repro.core.engine import METHODS, SkylineReport
 from repro.core.exact import (
+    DEFAULT_DET_KERNEL,
     DEFAULT_MAX_OBJECTS,
     DET_KERNELS,
     ExactResult,
@@ -267,7 +268,7 @@ def restricted_skyline_probabilities(
     delta: float = 0.01,
     samples: int | None = None,
     seed: object = None,
-    det_kernel: str = "fast",
+    det_kernel: str = DEFAULT_DET_KERNEL,
     cache: DominanceCache | None = None,
     share_pass: bool = True,
 ) -> RestrictedResult:
@@ -291,6 +292,9 @@ def restricted_skyline_probabilities(
         every restriction.
     method, epsilon, delta, samples, det_kernel:
         As on :meth:`~repro.core.engine.SkylineProbabilityEngine.skyline_probability`.
+        The default ``det_kernel="auto"`` routes each sliced component
+        by its dominator count, exactly as the engine does, so the
+        shared pass still equals ``share_pass=False`` bit for bit.
     seed:
         Root seed for the sampling methods.  Per-item seeds are spawned
         exactly as the batch planner spawns them

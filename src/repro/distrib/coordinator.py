@@ -64,6 +64,7 @@ from repro.core.engine import (
     METHODS,
     SkylineProbabilityEngine,
 )
+from repro.core.exact import DEFAULT_DET_KERNEL
 from repro.errors import (
     CoordinatorAbortedError,
     DistribError,
@@ -317,7 +318,7 @@ class ShardCoordinator:
         seeds: Sequence[object] | None = None,
         use_absorption: bool = True,
         use_partition: bool = True,
-        det_kernel: str = "fast",
+        det_kernel: str = DEFAULT_DET_KERNEL,
         deadline: float | None = None,
         on_deadline: str = "degrade",
         max_overrun: float | None = None,

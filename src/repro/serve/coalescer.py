@@ -45,6 +45,7 @@ import numpy as np
 import repro.obs as obs
 from repro.core.batch import batch_skyline_probabilities
 from repro.core.engine import SkylineReport
+from repro.core.exact import DEFAULT_DET_KERNEL
 from repro.errors import (
     AdmissionRejectedError,
     DatasetError,
@@ -88,7 +89,7 @@ _OPTION_DEFAULTS: Dict[str, object] = {
     "samples": None,
     "use_absorption": True,
     "use_partition": True,
-    "det_kernel": "fast",
+    "det_kernel": DEFAULT_DET_KERNEL,
     "deadline": None,
     "on_deadline": "degrade",
     "max_overrun": None,

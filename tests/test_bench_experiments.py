@@ -8,6 +8,7 @@ import math
 import pytest
 
 from repro.bench.harness import all_experiments, get_experiment
+from repro.core.exact import VEC_CROSSOVER
 
 
 def _is_number(value: object) -> bool:
@@ -109,3 +110,13 @@ class TestShapes:
         # bigger blocks -> bigger partitions -> costlier exact solves
         assert largest == sorted(largest)
         assert detplus[-1] >= detplus[0]
+
+    def test_ablation_vec_kernel_agrees_across_the_crossover(self):
+        (table,) = get_experiment("ablation_vec_kernel").run("quick")
+        # every kernel, the routed default included, within 1e-12 of
+        # reference on every row ...
+        deviations = table.column("max |Δ| vs reference")
+        assert all(deviation <= 1e-12 for deviation in deviations)
+        # ... on component sizes from both sides of the crossover
+        sizes = table.column("dominators")
+        assert min(sizes) < VEC_CROSSOVER <= max(sizes)

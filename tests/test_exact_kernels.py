@@ -21,6 +21,7 @@ spaces — and over the budget/deadline/duplicate edge cases.
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -29,6 +30,7 @@ from hypothesis import given, settings
 from repro.core.dynamic import DynamicSkylineEngine
 from repro.core.exact import (
     DET_KERNELS,
+    VEC_CROSSOVER,
     skyline_probability_det,
 )
 from repro.core.exact_vec import VEC_MAX_OBJECTS
@@ -81,7 +83,8 @@ def assert_tri_kernel_agreement(results):
     :data:`VEC_REL_TOL` — relative, or absolute when inclusion-exclusion
     cancellation leaves a result much smaller than the summed terms
     (relative error is amplified there for *both* summation orders; see
-    ``tests/test_numerics_vec.py``).
+    ``tests/test_numerics_vec.py``).  ``auto``: bit-for-bit the kernel
+    its dominator count routes to.
     """
     reference = results["reference"]
     assert results["fast"] == reference
@@ -91,6 +94,8 @@ def assert_tri_kernel_agreement(results):
     assert vec.probability == pytest.approx(
         reference.probability, rel=VEC_REL_TOL, abs=VEC_REL_TOL
     )
+    routed_to_vec = VEC_CROSSOVER <= vec.objects_used <= VEC_MAX_OBJECTS
+    assert results["auto"] == results["vec" if routed_to_vec else "fast"]
 
 
 class TestBitForBitEquality:
@@ -150,11 +155,11 @@ class TestBitForBitEquality:
     def test_engine_kernels_agree_end_to_end(self):
         dataset = block_zipf_dataset(25, 3, seed=22)
         preferences = HashedPreferenceModel(3, seed=23)
-        default = SkylineProbabilityEngine(dataset, preferences)
+        fast = SkylineProbabilityEngine(dataset, preferences)
         pinned = SkylineProbabilityEngine(dataset, preferences)
         for index in range(len(dataset)):
-            assert default.skyline_probability(
-                index, method="det+"
+            assert fast.skyline_probability(
+                index, method="det+", det_kernel="fast"
             ) == pinned.skyline_probability(
                 index, method="det+", det_kernel="reference"
             )
@@ -385,6 +390,100 @@ class TestTriKernelDifferential:
         dataset, preferences = running_example()
         with pytest.raises(ReproError, match="det_kernel"):
             DynamicSkylineEngine(dataset, preferences, det_kernel="gpu")
+
+
+def _shared_key_component(n, *, seed=2):
+    """``n`` competitors that all survive the filter and share keys.
+
+    Competitor ``i`` is ``(a{i % 3}, b{i % 4})`` against target
+    ``(o, o)``, so values repeat across competitors and the vec kernel's
+    masked-multiply path runs; with ``seed=2`` its probability differs
+    from the recursive kernels' in the last ulps at n = 7 and n = 8.
+    """
+    rng = random.Random(seed)
+    preferences = PreferenceModel(2)
+    for k in range(3):
+        preferences.set_preference(0, f"a{k}", "o", rng.uniform(0.05, 0.95))
+    for k in range(4):
+        preferences.set_preference(1, f"b{k}", "o", rng.uniform(0.05, 0.95))
+    competitors = [(f"a{i % 3}", f"b{i % 4}") for i in range(n)]
+    return preferences, competitors, ("o", "o")
+
+
+class TestRoutedDefault:
+    """The ``"auto"`` default: fast below VEC_CROSSOVER, vec from it up."""
+
+    def test_below_crossover_is_fast_bit_for_bit(self):
+        instance = _shared_key_component(VEC_CROSSOVER - 1)
+        results = _all_kernels(*instance)
+        assert results["fast"].objects_used == VEC_CROSSOVER - 1
+        # the instance tells the two kernels apart ...
+        assert results["vec"].probability != results["fast"].probability
+        # ... and the default picks fast, armed deadline or not (an armed
+        # one runs the bit-identical reference walk)
+        assert skyline_probability_det(*instance) == results["fast"]
+        assert skyline_probability_det(
+            *instance, deadline_at=time.monotonic() + 3600
+        ) == results["fast"]
+
+    def test_at_crossover_is_vec_bit_for_bit(self):
+        instance = _shared_key_component(VEC_CROSSOVER)
+        results = _all_kernels(*instance)
+        assert results["vec"].objects_used == VEC_CROSSOVER
+        assert results["vec"].probability != results["fast"].probability
+        # vec checks an armed deadline natively, so it stays on vec
+        assert skyline_probability_det(*instance) == results["vec"]
+        assert skyline_probability_det(
+            *instance, deadline_at=time.monotonic() + 3600
+        ) == results["vec"]
+
+    def test_engine_default_matches_reference_per_partition(self):
+        dataset = block_zipf_dataset(25, 3, seed=22)
+        preferences = HashedPreferenceModel(3, seed=23)
+        default = SkylineProbabilityEngine(dataset, preferences)
+        pinned = SkylineProbabilityEngine(dataset, preferences)
+        sizes = set()
+        for index in range(len(dataset)):
+            routed = default.skyline_probability(index, method="det+")
+            reference = pinned.skyline_probability(
+                index, method="det+", det_kernel="reference"
+            )
+            assert len(routed.partition_results) == len(
+                reference.partition_results
+            )
+            for mine, theirs in zip(
+                routed.partition_results, reference.partition_results
+            ):
+                assert mine.terms_evaluated == theirs.terms_evaluated
+                assert mine.objects_used == theirs.objects_used
+                sizes.add(mine.objects_used)
+            assert routed.probability == pytest.approx(
+                reference.probability, rel=VEC_REL_TOL, abs=VEC_REL_TOL
+            )
+        # components on both sides of the crossover were solved
+        assert min(sizes) < VEC_CROSSOVER <= max(sizes)
+
+    def test_above_vec_ceiling_stays_on_fast(self):
+        # VEC_MAX_OBJECTS + 2 dominators, each factor 1e-300: every pair
+        # underflows to 0, so the recursive walk is O(n^2) terms while
+        # vec would refuse the 2^28 array.  The default must route the
+        # component to fast (no ComputationBudgetError) and answer
+        # exactly what the reference kernel does.
+        preferences = PreferenceModel(1)
+        competitors = []
+        for index in range(VEC_MAX_OBJECTS + 2):
+            value = f"v{index}"
+            preferences.set_preference(0, value, "o", 1e-300)
+            competitors.append((value,))
+        options = dict(max_objects=VEC_MAX_OBJECTS + 10)
+        routed = skyline_probability_det(
+            preferences, competitors, ("o",), **options
+        )
+        reference = skyline_probability_det(
+            preferences, competitors, ("o",), kernel="reference", **options
+        )
+        assert routed == reference
+        assert routed.objects_used == VEC_MAX_OBJECTS + 2
 
 
 class TestInstrumentationNeutrality:

@@ -138,6 +138,26 @@ class TestBucketing:
         assert len(trace) == 2
         assert sorted(len(entry["indices"]) for entry in trace) == [1, 2]
 
+    def test_explicit_default_kernel_shares_the_bucket(self):
+        # the bucket key fills omitted options from the same default the
+        # engine's memo key uses, so naming it changes nothing
+        engine = _engine()
+
+        async def serve():
+            trace: list = []
+            coalescer = QueryCoalescer(engine, window=0.05, trace=trace)
+            answers = await asyncio.gather(
+                coalescer.submit(0, det_kernel="auto"),
+                coalescer.submit(1),
+            )
+            await coalescer.drain()
+            return answers, trace
+
+        answers, trace = _run(serve())
+        assert len(trace) == 1
+        assert sorted(trace[0]["indices"]) == [0, 1]
+        assert all(answer.batch_size == 2 for answer in answers)
+
     def test_max_batch_flushes_immediately(self):
         engine = _engine()
 
