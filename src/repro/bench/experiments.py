@@ -1109,13 +1109,13 @@ def run_ablation_sorting(scale: str) -> List[ExperimentTable]:
     "Section 5",
 )
 def run_ablation_preprocess(scale: str) -> List[ExperimentTable]:
-    n = 1000 if scale == "full" else 100
+    n, budget = (1000, 4.0) if scale == "full" else (100, 0.04)
     table = ExperimentTable(
         "ablation_preprocess",
         f"Preprocessing variants (block-zipf n={n}, d=5)",
         columns=(
             "variant", "kept objects", "partitions",
-            "largest partition", "preprocess (s)",
+            "largest partition", "preprocess (ms)",
         ),
         paper_reference="Section 5",
         expectation=(
@@ -1127,23 +1127,30 @@ def run_ablation_preprocess(scale: str) -> List[ExperimentTable]:
     preferences = HashedPreferenceModel(5, seed=192)
     competitors = list(dataset.others(0))
     target = dataset[0]
-    for label, use_absorption, use_partition in (
-        ("none", False, False),
-        ("absorption only", True, False),
-        ("partition only", False, True),
-        ("both", True, True),
-    ):
-        prep, elapsed = time_call(
-            preprocess, competitors, target, preferences=preferences,
-            use_absorption=use_absorption, use_partition=use_partition,
-        )
+    variants = {
+        "none": (False, False),
+        "absorption only": (True, False),
+        "partition only": (False, True),
+        "both": (True, True),
+    }
+    results, seconds = _interleaved_median_seconds(
+        {
+            label: functools.partial(
+                preprocess, competitors, target, preferences=preferences,
+                use_absorption=use_absorption, use_partition=use_partition,
+            )
+            for label, (use_absorption, use_partition) in variants.items()
+        },
+        budget=budget,
+    )
+    for label, prep in results.items():
         table.add_row(
             variant=label,
             **{
                 "kept objects": prep.kept_count,
                 "partitions": len(prep.partitions),
                 "largest partition": prep.largest_partition,
-                "preprocess (s)": elapsed,
+                "preprocess (ms)": 1e3 * seconds[label],
             },
         )
     return [table]

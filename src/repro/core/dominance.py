@@ -146,14 +146,12 @@ class DominanceCache:
     bookkeeping for benchmarks and tests, not part of the answer.
 
     The cache is **thread-safe**: every lookup and mutation runs under one
-    internal re-entrant lock (re-entrant because
-    :meth:`dominance_factors` resolves its factors through
-    :meth:`prob_prefers`), so concurrent queries sharing one warm engine —
-    the serving tier's coalesced batches, threaded batch fallbacks —
-    can neither corrupt the memo dicts nor lose counter increments:
-    ``hits + misses`` always equals the number of lookups made.  The lock
-    guards per-call critical sections only; the *answers* never depended
-    on it (cached values are pure functions of the model).
+    internal lock, taken once per call, so concurrent queries sharing one
+    warm engine — the serving tier's coalesced batches, threaded batch
+    fallbacks — can neither corrupt the memo dicts nor lose counter
+    increments: ``hits + misses`` always equals the number of lookups
+    made.  The lock guards per-call critical sections only; the *answers*
+    never depended on it (cached values are pure functions of the model).
     """
 
     __slots__ = (
@@ -164,6 +162,7 @@ class DominanceCache:
         "_hits",
         "_misses",
         "_evictions",
+        "_index",
         "_lock",
     )
 
@@ -177,7 +176,10 @@ class DominanceCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._lock = threading.RLock()
+        # Built by the first eviction: target values -> the competitor
+        # values whose factors are memoised against that target.
+        self._index: Dict[Tuple[Value, ...], Set[Tuple[Value, ...]]] | None = None
+        self._lock = threading.Lock()
 
     @property
     def preferences(self) -> PreferenceModel:
@@ -224,6 +226,7 @@ class DominanceCache:
         with self._lock:
             self._prefers.clear()
             self._factors.clear()
+            self._index = None
 
     def evict_preference(self, dimension: int, a: Value, b: Value) -> int:
         """Surgically drop every entry that read the ``{a, b}`` pair.
@@ -246,21 +249,37 @@ class DominanceCache:
         Returns the number of entries removed; ``hits``/``misses`` are
         kept (they count lifetime lookups) and :attr:`evictions` grows by
         the same number.
+
+        The first eviction indexes the factor table by target, one pass
+        over it; from then on every factor miss adds its entry to the
+        index.  An eviction then reads only the competitors memoised
+        against targets holding ``a`` or ``b`` on ``dimension``, not the
+        whole table.  :meth:`clear` and a version change drop the index,
+        so a cache that never evicts never pays for it.
         """
         with self._lock:
             removed = 0
             for key in ((dimension, a, b), (dimension, b, a)):
                 if self._prefers.pop(key, None) is not None:
                     removed += 1
-            stale = [
-                pair_key
-                for pair_key in self._factors
-                if dimension < len(pair_key[0])
-                and {pair_key[0][dimension], pair_key[1][dimension]} == {a, b}
-            ]
-            for pair_key in stale:
-                del self._factors[pair_key]
-            removed += len(stale)
+            if self._index is None:
+                self._index = {}
+                for q, o in self._factors:
+                    self._index.setdefault(o, set()).add(q)
+            for target, competitors in self._index.items():
+                if dimension >= len(target):
+                    continue
+                if target[dimension] == a:
+                    other = b
+                elif target[dimension] == b:
+                    other = a
+                else:
+                    continue
+                stale = [q for q in competitors if q[dimension] == other]
+                for q in stale:
+                    del self._factors[(q, target)]
+                competitors.difference_update(stale)
+                removed += len(stale)
             self._version = self._preferences.version
             self._evictions += removed
             return removed
@@ -270,6 +289,7 @@ class DominanceCache:
         if version != self._version:
             self._prefers.clear()
             self._factors.clear()
+            self._index = None
             self._version = version
 
     def prob_prefers(self, dimension: int, a: Value, b: Value) -> float:
@@ -290,22 +310,41 @@ class DominanceCache:
     def dominance_factors(
         self, q: Sequence[Value], o: Sequence[Value]
     ) -> Tuple[DominanceFactor, ...]:
-        """Memoised :func:`dominance_factors` (returns an immutable tuple)."""
+        """Memoised :func:`dominance_factors` (returns an immutable tuple).
+
+        A miss resolves every factor under the one lock acquisition,
+        reading the preference memo directly; each of those reads counts
+        as a hit or a miss exactly as a :meth:`prob_prefers` call would.
+        """
+        key = (tuple(q), tuple(o))
         with self._lock:
-            self._validate()
-            key = (tuple(q), tuple(o))
+            if self._preferences.version != self._version:
+                self._validate()
             entry = self._factors.get(key)
             if entry is not None:
                 self._hits += 1
                 return entry
             self._misses += 1
+            q, o = key
             _check_same_dimensionality(q, o)
-            factors = tuple(
-                (j, q[j], self.prob_prefers(j, q[j], o[j]))
-                for j in differing_dimensions(q, o)
-            )
-            self._factors[key] = factors
-            return factors
+            prefers = self._prefers
+            factors = []
+            for j, qv, ov in zip(range(len(o)), q, o):
+                if qv == ov:
+                    continue
+                pair = (j, qv, ov)
+                probability = prefers.get(pair)
+                if probability is None:
+                    self._misses += 1
+                    probability = self._preferences.prob_prefers(j, qv, ov)
+                    prefers[pair] = probability
+                else:
+                    self._hits += 1
+                factors.append((j, qv, probability))
+            entry = self._factors[key] = tuple(factors)
+            if self._index is not None:
+                self._index.setdefault(o, set()).add(q)
+            return entry
 
 
 def factor_source(

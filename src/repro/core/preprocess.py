@@ -26,14 +26,15 @@ before partitioning, which also stops it from gluing components together.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import repro.obs as obs
 from repro.core.dominance import DominanceCache, factor_source
 from repro.core.objects import ObjectValues, Value, as_object
 from repro.core.preferences import PreferenceModel
-from repro.errors import DatasetError
+from repro.errors import DatasetError, DimensionalityError
 from repro.util.unionfind import UnionFind
 
 __all__ = [
@@ -53,11 +54,26 @@ _DifferingKey = Tuple[int, Value]
 def _differing_keys(
     competitor: Sequence[Value], target: Sequence[Value]
 ) -> Tuple[_DifferingKey, ...]:
-    """``Γ(Q)``: the (dimension, value) pairs where Q differs from O."""
+    """``Γ(Q)``: the (dimension, value) pairs where Q differs from O.
+
+    Keys come in dimension order, one per differing dimension.  A
+    competitor of another dimensionality raises
+    :class:`~repro.errors.DimensionalityError` instead of being compared
+    on the shorter prefix.
+    """
+    if len(competitor) != len(target):
+        raise DimensionalityError(
+            f"competitor has {len(competitor)} dimensions, the target "
+            f"{len(target)}"
+        )
     return tuple(
-        (dimension, value)
-        for dimension, (value, target_value) in enumerate(zip(competitor, target))
-        if value != target_value
+        [
+            (dimension, value)
+            for dimension, value, target_value in zip(
+                range(len(target)), competitor, target
+            )
+            if value != target_value
+        ]
     )
 
 
@@ -107,31 +123,49 @@ def absorb_keys(
     This is the index-accelerated core of :func:`absorb`, factored out so
     callers that already hold each competitor's differing keys (e.g. the
     restriction planner, which *slices* full-dimension keys per subspace)
-    can run the identical pass without rebuilding objects.
+    can run the identical pass without rebuilding objects.  Each tuple
+    lists its keys in dimension order, as :func:`preprocess` builds them.
+
+    Only a competitor that can absorb something scans.  A scan by ``X``
+    removes the competitors whose ``Γ`` contains ``Γ(X)``; when ``Γ(X)``
+    is as wide as the widest ``Γ`` present, that is only an exact copy of
+    ``Γ(X)``.  So a widest competitor scans only when another one carries
+    the same ``Γ``, and every skipped scan would have removed nothing.
     """
-    # Inverted index: (dimension, value) -> alive competitor positions.
-    buckets: Dict[_DifferingKey, Set[int]] = {}
+    widest = max(map(len, keys), default=0)
+    copies = Counter(gamma for gamma in keys if len(gamma) == widest)
+    scanners = [
+        position
+        for position, gamma in enumerate(keys)
+        if gamma and (len(gamma) < widest or copies[gamma] > 1)
+    ]
+    if not scanners:
+        return AbsorptionResult(tuple(range(len(keys))), {})
+    # Inverted index over the keys the scans read: (dimension, value) ->
+    # positions of the competitors holding it.
+    buckets: Dict[_DifferingKey, List[int]] = {
+        key: [] for position in scanners for key in keys[position]
+    }
     for position, gamma in enumerate(keys):
         for key in gamma:
-            buckets.setdefault(key, set()).add(position)
+            if key in buckets:
+                buckets[key].append(position)
     alive = [True] * len(keys)
     absorbed_by: Dict[int, int] = {}
-    for position, gamma in enumerate(keys):
-        if not alive[position] or not gamma:
+    for position in scanners:
+        if not alive[position]:
             continue
-        # Scan the smallest bucket and verify the full Γ match there.
-        smallest = min(
-            (buckets.get(key, frozenset()) for key in gamma), key=len
-        )
+        gamma = keys[position]
         required = set(gamma)
-        for candidate in list(smallest):
-            if candidate == position or not alive[candidate]:
-                continue
-            if required <= set(keys[candidate]):
+        # Scan the smallest bucket and verify the full Γ match there.
+        for candidate in min((buckets[key] for key in gamma), key=len):
+            if (
+                candidate != position
+                and alive[candidate]
+                and required <= set(keys[candidate])
+            ):
                 alive[candidate] = False
                 absorbed_by[candidate] = position
-                for key in keys[candidate]:
-                    buckets[key].discard(candidate)
     kept = tuple(position for position, ok in enumerate(alive) if ok)
     # A scanner can itself be absorbed by a *later* scan (reachable when
     # Γ(Y) ⊆ Γ(X) ⊆ Γ(Z) with Y positioned after X: X's scan removes Z,
@@ -213,9 +247,10 @@ def drop_never_dominators(
     possible: List[int] = []
     impossible: List[int] = []
     for position in indices:
-        factors = factors_of(competitors[position], target)
-        if any(probability == 0.0 for _, _, probability in factors):
-            impossible.append(position)
+        for _, _, probability in factors_of(competitors[position], target):
+            if probability == 0.0:
+                impossible.append(position)
+                break
         else:
             possible.append(position)
     return possible, impossible
@@ -271,17 +306,24 @@ def preprocess(
     further absorption), then the zero-probability filter (needs
     ``preferences``; skipped when not supplied), then partition.  Any
     stage can be disabled for ablation studies.
+
+    Each competitor's ``Γ`` is built once and serves the duplicate check
+    (an empty ``Γ`` is a competitor equal to the target), absorption and
+    partition alike.
     """
     target = as_object(target)
-    for position, q in enumerate(competitors):
-        if as_object(q) == target:
-            raise DatasetError(
-                f"competitor {position} equals the target {target!r}; "
-                f"sky(target) would be 0 by the duplicate convention"
-            )
     with obs.stage("preprocess"):
+        keys = []
+        for position, q in enumerate(competitors):
+            gamma = _differing_keys(as_object(q), target)
+            if not gamma:
+                raise DatasetError(
+                    f"competitor {position} equals the target {target!r}; "
+                    f"sky(target) would be 0 by the duplicate convention"
+                )
+            keys.append(gamma)
         if use_absorption:
-            absorption = absorb(competitors, target)
+            absorption = absorb_keys(keys)
         else:
             absorption = AbsorptionResult(tuple(range(len(competitors))), {})
         kept: Sequence[int] = absorption.kept_indices
@@ -293,7 +335,7 @@ def preprocess(
             kept, dropped = possible, tuple(impossible)
         if use_partition:
             partitions = tuple(
-                tuple(part) for part in partition(competitors, target, kept)
+                tuple(part) for part in partition_keys(keys, kept)
             )
         else:
             partitions = (tuple(kept),) if kept else ()

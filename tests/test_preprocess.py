@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.exact import skyline_probability_det
 from repro.core.preferences import PreferenceModel
 from repro.core.preprocess import (
     absorb,
+    absorb_keys,
     drop_never_dominators,
     partition,
     preprocess,
 )
 from repro.data.examples import running_example
-from repro.errors import DatasetError
+from repro.errors import DatasetError, DimensionalityError
 
 from strategies import uncertain_instance
 
@@ -118,6 +120,106 @@ class TestAbsorb:
         # Γ = ∅ objects are skipped (handled upstream by the engine)
         result = absorb([("o",)], ("o",))
         assert result.kept_indices == (0,)
+
+
+def _scan_every_competitor(keys):
+    """Absorption as one pass in which every alive competitor scans.
+
+    The reference for :func:`absorb_keys`, which lets only the
+    competitors that can absorb something scan.
+    """
+    alive = [True] * len(keys)
+    absorbed_by = {}
+    for position, gamma in enumerate(keys):
+        if not alive[position] or not gamma:
+            continue
+        for candidate, other in enumerate(keys):
+            if (
+                candidate != position
+                and alive[candidate]
+                and set(gamma) <= set(other)
+            ):
+                alive[candidate] = False
+                absorbed_by[candidate] = position
+    for removed in list(absorbed_by):
+        absorber = absorbed_by[removed]
+        while absorber in absorbed_by:
+            absorber = absorbed_by[absorber]
+        absorbed_by[removed] = absorber
+    kept = tuple(position for position, ok in enumerate(alive) if ok)
+    return kept, absorbed_by
+
+
+def _gamma_minimal(keys):
+    """Positions no other ``Γ`` absorbs: an empty ``Γ``, or one with no
+    non-empty strict subset present and no equal ``Γ`` before it."""
+    return tuple(
+        position
+        for position, gamma in enumerate(keys)
+        if not gamma
+        or not any(
+            other
+            and (
+                set(other) < set(gamma)
+                or (set(other) == set(gamma) and earlier < position)
+            )
+            for earlier, other in enumerate(keys)
+        )
+    )
+
+
+@st.composite
+def gamma_keys(draw):
+    """Γ tuples of a random target, full or sliced to a subspace.
+
+    Small value pools make equal Γs, the widest ones included, common; a
+    drawn subspace slices every Γ to its dimensions, as the restriction
+    planner does, so some Γs are partial or empty.
+    """
+    d = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=0, max_value=12))
+    pool = draw(st.integers(min_value=1, max_value=3))
+    target = tuple(f"o{j}" for j in range(d))
+    keys = []
+    for _ in range(n):
+        competitor = tuple(
+            draw(st.sampled_from([f"o{j}"] + [f"v{j}_{k}" for k in range(pool)]))
+            for j in range(d)
+        )
+        keys.append(
+            tuple(
+                (j, value)
+                for j, (value, own) in enumerate(zip(competitor, target))
+                if value != own
+            )
+        )
+    if draw(st.booleans()):
+        dims = set(draw(st.lists(st.integers(0, d - 1), max_size=d)))
+        keys = [tuple(key for key in gamma if key[0] in dims) for gamma in keys]
+    return keys
+
+
+class TestAbsorbKeys:
+    @given(gamma_keys())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scanning_every_competitor(self, keys):
+        result = absorb_keys(keys)
+        kept, absorbed_by = _scan_every_competitor(keys)
+        assert result.kept_indices == kept
+        assert result.absorbed_by == absorbed_by
+
+    @given(gamma_keys())
+    @settings(max_examples=300, deadline=None)
+    def test_kept_set_is_gamma_minimal(self, keys):
+        assert absorb_keys(keys).kept_indices == _gamma_minimal(keys)
+
+    def test_equal_widest_gammas_absorb_each_other(self):
+        # Every Γ is as wide as the widest, so only the copy of Γ(0) can
+        # be absorbed: by the first holder of that Γ.
+        keys = [((0, "a"), (1, "b")), ((0, "c"), (1, "d")), ((0, "a"), (1, "b"))]
+        result = absorb_keys(keys)
+        assert result.kept_indices == (0, 1)
+        assert result.absorbed_by == {2: 0}
 
 
 class TestPartition:
@@ -232,3 +334,38 @@ class TestPreprocessPipeline:
         prep = preprocess([], ("o",))
         assert prep.partitions == ()
         assert prep.largest_partition == 0
+
+
+class TestDimensionality:
+    """A competitor of another dimensionality is rejected up front, never
+    compared on the shorter prefix."""
+
+    TARGET = ("o0", "o1")
+    # Competitor 1 is too long; compared on its prefix, competitor 0 would
+    # absorb it, so it would never reach the zero-probability filter.
+    COMPETITORS = [("a", "o1"), ("a", "b", "c")]
+
+    def test_absorb_rejects(self):
+        with pytest.raises(DimensionalityError):
+            absorb(self.COMPETITORS, self.TARGET)
+
+    def test_partition_rejects(self):
+        with pytest.raises(DimensionalityError):
+            partition(self.COMPETITORS, self.TARGET)
+
+    def test_partition_rejects_outside_indices(self):
+        with pytest.raises(DimensionalityError):
+            partition(self.COMPETITORS, self.TARGET, indices=[0])
+
+    def test_preprocess_without_preferences_rejects(self):
+        with pytest.raises(DimensionalityError):
+            preprocess(self.COMPETITORS, self.TARGET)
+
+    def test_preprocess_rejects_an_absorbable_competitor(self):
+        model = PreferenceModel(2, default=0.5)
+        with pytest.raises(DimensionalityError):
+            preprocess(self.COMPETITORS, self.TARGET, preferences=model)
+
+    def test_short_prefix_match_is_not_called_a_duplicate(self):
+        with pytest.raises(DimensionalityError):
+            preprocess([("o0",)], self.TARGET)
