@@ -949,24 +949,28 @@ _TIMING_ROUNDS = 5
 
 
 def _interleaved_median_seconds(
-    calls: Dict[str, Callable[[], object]],
+    calls: Dict[object, Callable[[], object]],
     *,
     budget: float,
-) -> Tuple[Dict[str, object], Dict[str, float]]:
+    rounds: int = _TIMING_ROUNDS,
+) -> Tuple[Dict[object, object], Dict[object, float]]:
     """``(results, median seconds per call)`` for each named call.
 
-    One untimed warm-up call each, then :data:`_TIMING_ROUNDS` rounds; a
-    round runs a block of timed calls per name (at least one, about
-    ``budget / (_TIMING_ROUNDS * len(calls))`` seconds).  A single timing
-    of a microsecond-scale call is mostly noise; blocks keep each name's
+    One untimed warm-up call each, then ``rounds`` rounds; a round runs
+    a block of timed calls per name (at least one, about
+    ``budget / (rounds * len(calls))`` seconds).  A single timing of a
+    microsecond-scale call is mostly noise; blocks keep each name's
     calls back to back, as in steady use, and the rounds let a change
     in host speed hit every name alike instead of whichever ran
-    during it.
+    during it.  Calls of tens of milliseconds on a shared host need
+    more rounds of one call each: the host's speed can change within a
+    few calls, and with five rounds one name's median can land in a
+    slow spell and another's in a fast one.
     """
     results = {name: call() for name, call in calls.items()}
-    times: Dict[str, List[float]] = {name: [] for name in calls}
-    block = budget / (_TIMING_ROUNDS * len(calls))
-    for _ in range(_TIMING_ROUNDS):
+    times: Dict[object, List[float]] = {name: [] for name in calls}
+    block = budget / (rounds * len(calls))
+    for _ in range(rounds):
         for name, call in calls.items():
             spent = 0.0
             while spent < block:
@@ -1162,8 +1166,12 @@ def run_ablation_preprocess(scale: str) -> List[ExperimentTable]:
     "Figures 9b/10b (why partition-bounded components matter)",
 )
 def run_ablation_blocksize(scale: str) -> List[ExperimentTable]:
-    n = 256 if scale == "full" else 64
-    block_sizes = [4, 8, 12] if scale == "full" else [4, 8]
+    # At quick scale block 8's Det+ costs only ~10% more than block 4's,
+    # so its cheap calls get many single-call rounds.
+    if scale == "full":
+        n, block_sizes, budget, rounds = 256, [4, 8, 12], 8.0, _TIMING_ROUNDS
+    else:
+        n, block_sizes, budget, rounds = 64, [4, 8], 0.2, 61
     table = ExperimentTable(
         "ablation_blocksize",
         f"Det+ cost vs block size (block-zipf n={n}, d=5)",
@@ -1177,31 +1185,53 @@ def run_ablation_blocksize(scale: str) -> List[ExperimentTable]:
             "partition is a 2^size enumeration) while sampling barely moves"
         ),
     )
-    for block_size in block_sizes:
+
+    def queries(
+        block_size: int, method: str, **options: object
+    ) -> Callable[[], list]:
         dataset = block_zipf_dataset(
             n, 5, blocks=max(1, n // block_size),
             values_per_block=max(10, 2 * block_size), seed=211 + block_size,
         )
-        engine = SkylineProbabilityEngine(
-            dataset, HashedPreferenceModel(5, seed=212),
-            max_exact_objects=26,
-        )
+        preferences = HashedPreferenceModel(5, seed=212)
         targets = _pick_targets(dataset, 3, seed=213)
-        detplus = _average_query_time(engine, targets, "det+")
-        samplus = _average_query_time(
-            engine, targets, "sam+", samples=PAPER_SAMPLE_SIZE, seed=214
-        )
-        largest = max(
-            engine.skyline_probability(index, method="det+")
-            .preprocessing.largest_partition
-            for index in targets
-        )
+
+        # A fresh engine per call: engines memoise exact answers.
+        def call() -> list:
+            engine = SkylineProbabilityEngine(
+                dataset, preferences, max_exact_objects=26
+            )
+            return [
+                engine.skyline_probability(index, method=method, **options)
+                for index in targets
+            ]
+
+        return call
+
+    # Every block size's calls in one interleaved timing, so a change in
+    # host speed cannot land on one block size only.
+    detplus, detplus_seconds = _interleaved_median_seconds(
+        {size: queries(size, "det+") for size in block_sizes},
+        budget=budget,
+        rounds=rounds,
+    )
+    _, samplus_seconds = _interleaved_median_seconds(
+        {
+            size: queries(size, "sam+", samples=PAPER_SAMPLE_SIZE, seed=214)
+            for size in block_sizes
+        },
+        budget=budget,
+    )
+    for size in block_sizes:
         table.add_row(
             **{
-                "objects per block": block_size,
-                "largest partition": largest,
-                "Det+ (s)": detplus["seconds"],
-                "Sam+ (s)": samplus["seconds"],
+                "objects per block": size,
+                "largest partition": max(
+                    report.preprocessing.largest_partition
+                    for report in detplus[size]
+                ),
+                "Det+ (s)": detplus_seconds[size] / len(detplus[size]),
+                "Sam+ (s)": samplus_seconds[size] / len(detplus[size]),
             }
         )
     return [table]
@@ -1468,7 +1498,10 @@ def run_dynamic_updates(scale: str) -> List[ExperimentTable]:
 def run_robustness_overhead(scale: str) -> List[ExperimentTable]:
     from repro.robustness import FaultInjector
 
-    n, d = (200, 4) if scale == "full" else (40, 3)
+    if scale == "full":
+        n, d, budget, rounds = 200, 4, 40.0, _TIMING_ROUNDS
+    else:
+        n, d, budget, rounds = 40, 3, 1.0, 21
 
     # Fresh engine per measurement: engines memoise exact answers, so a
     # reused instance would time cache hits rather than the algorithms.
@@ -1496,7 +1529,19 @@ def run_robustness_overhead(scale: str) -> List[ExperimentTable]:
             ).probabilities
         )
 
-    baseline_answers, baseline_seconds = time_call(planner_loop)
+    configurations = {
+        "planner loop (no fault tolerance)": planner_loop,
+        "robust batch, defaults": robust_batch,
+        "robust batch, idle injector": functools.partial(
+            robust_batch, fault_injector=FaultInjector(seed=0)
+        ),
+        "robust batch, armed deadline (1h)": functools.partial(
+            robust_batch, deadline=3600.0
+        ),
+    }
+    answers, seconds = _interleaved_median_seconds(
+        configurations, budget=budget, rounds=rounds
+    )
     table = ExperimentTable(
         "robustness_overhead",
         f"Fault-tolerance overhead on the happy path "
@@ -1513,24 +1558,14 @@ def run_robustness_overhead(scale: str) -> List[ExperimentTable]:
             "kernel (same answers bit-for-bit in every row)"
         ),
     )
-    table.add_row(
-        configuration="planner loop (no fault tolerance)",
-        seconds=baseline_seconds,
-        **{"overhead vs planner": 1.0, "identical": True},
-    )
-    configurations = (
-        ("robust batch, defaults", {}),
-        ("robust batch, idle injector", {"fault_injector": FaultInjector(seed=0)}),
-        ("robust batch, armed deadline (1h)", {"deadline": 3600.0}),
-    )
-    for label, options in configurations:
-        answers, seconds = time_call(robust_batch, **options)
+    baseline = "planner loop (no fault tolerance)"
+    for label in configurations:
         table.add_row(
             configuration=label,
-            seconds=seconds,
+            seconds=seconds[label],
             **{
-                "overhead vs planner": seconds / baseline_seconds,
-                "identical": answers == baseline_answers,
+                "overhead vs planner": seconds[label] / seconds[baseline],
+                "identical": answers[label] == answers[baseline],
             },
         )
     return [table]

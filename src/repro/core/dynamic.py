@@ -59,9 +59,13 @@ from repro.core.exact import (
     DEFAULT_MAX_OBJECTS,
     DET_KERNELS,
     ExactResult,
-    skyline_probability_det,
 )
-from repro.core.engine import SkylineProbabilityEngine, SkylineReport
+from repro.core.engine import (
+    SkylineProbabilityEngine,
+    SkylineReport,
+    _resolve_pool,
+    _solve_component,
+)
 from repro.core.objects import Dataset, ObjectValues, Value, as_object
 from repro.core.preferences import PreferenceModel
 from repro.core.preprocess import _differing_keys, partition, preprocess
@@ -370,15 +374,10 @@ class DynamicSkylineEngine:
             self._dataset, competitors=competitors, dims=dims
         )
         kernel = self._det_kernel if det_kernel is None else det_kernel
-        if isinstance(target, int):
-            self._check_index(target)
-            target_values = self._objects[target]
-            identity: Tuple[str, ObjectValues] = ("index", target_values)
-            excluded: int | None = target
-        else:
-            target_values = as_object(target)
-            identity = ("external", target_values)
-            excluded = None
+        target_values, pool, own = _resolve_pool(
+            self._dataset, target, restriction
+        )
+        identity = ("external" if own is None else "index", target_values)
         memo_key = (identity, restriction.key, method, kernel)
         entry = self._restricted_memo.get(memo_key)
         if entry is not None:
@@ -398,18 +397,11 @@ class DynamicSkylineEngine:
             dims=restriction.dims,
         )
         if report.exact:
-            pool = (
-                range(len(self._objects))
-                if restriction.competitors is None
-                else restriction.competitors
-            )
             retained = (
                 None if restriction.dims is None else set(restriction.dims)
             )
             read_keys = set()
             for position in pool:
-                if position == excluded:
-                    continue
                 for key in _differing_keys(
                     self._objects[position], target_values
                 ):
@@ -843,24 +835,21 @@ class DynamicSkylineEngine:
                 factors.append(known)
                 kept += 1
                 continue
-            factors.append(self._solve_component(members, target))
+            factors.append(self._component_factor(members, target))
             solved += 1
         return self._assemble_view(target, factors), solved, kept
 
-    def _solve_component(
+    def _component_factor(
         self, members: Tuple[ObjectValues, ...], target: ObjectValues
     ) -> PartitionFactor:
         """Exact-solve one value-disjoint component into a cached factor."""
         keys = frozenset(
             key for member in members for key in _differing_keys(member, target)
         )
-        result = skyline_probability_det(
-            self._preferences,
-            members,
-            target,
-            max_objects=self._max_exact_objects,
-            kernel=self._det_kernel,
-            cache=self._cache,
+        result = _solve_component(
+            [self._cache.dominance_factors(member, target) for member in members],
+            max_exact=self._max_exact_objects,
+            det_kernel=self._det_kernel,
         )
         return PartitionFactor(members, keys, result)
 
@@ -925,7 +914,7 @@ class DynamicSkylineEngine:
         local = sorted(survivors + [values], key=position_of.__getitem__)
         components = partition(local, target)
         rebuilt = [
-            self._solve_component(
+            self._component_factor(
                 tuple(local[position] for position in part), target
             )
             for part in components

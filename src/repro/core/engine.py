@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import repro.obs as obs
 from repro.core.bounds import (
@@ -38,13 +38,13 @@ from repro.core.bounds import (
     validate_accuracy,
     validate_robustness,
 )
-from repro.core.dominance import DominanceCache
+from repro.core.dominance import DominanceCache, DominanceFactor, factor_source
 from repro.core.exact import (
     DEFAULT_DET_KERNEL,
     DEFAULT_MAX_OBJECTS,
     DET_KERNELS,
     ExactResult,
-    skyline_probability_det,
+    det_from_factor_lists,
 )
 from repro.core.naive import skyline_probability_naive
 from repro.core.objects import Dataset, ObjectValues, Value, as_object
@@ -53,6 +53,7 @@ from repro.core.preprocess import PreprocessResult, preprocess
 from repro.core.sampling import SamplingResult, skyline_probability_sampled
 from repro.errors import (
     ComputationBudgetError,
+    DatasetError,
     DeadlineExceededError,
     DimensionalityError,
     ReproError,
@@ -263,19 +264,31 @@ class SkylineProbabilityEngine:
         if competitors is not None or dims is not None:
             # Imported lazily: repro.core.restricted builds SkylineReport
             # objects, so a top-level import would be circular.
-            from repro.core.restricted import normalize_restriction
+            from repro.core.restricted import (
+                materialize_competitor,
+                normalize_restriction,
+            )
 
             restriction = normalize_restriction(
                 self._dataset, competitors=competitors, dims=dims
             )
             if restriction.is_full:
                 restriction = None  # the full query, just spelled out
-        if restriction is None:
-            competitors, target_values, duplicate = self._resolve_target(target)
-        else:
-            competitors, target_values, duplicate = self._resolve_restricted(
-                target, restriction
-            )
+        target_values, pool, _ = _resolve_pool(
+            self._dataset, target, restriction
+        )
+        objects = self._dataset.objects
+        competitors = [objects[position] for position in pool]
+        if restriction is not None and restriction.dims is not None:
+            # Dimensions outside the subspace take the target's own
+            # values, so every method answers the restricted question.
+            competitors = [
+                materialize_competitor(values, target_values, restriction.dims)
+                for values in competitors
+            ]
+        # Also covers projected duplicates (equal on every retained
+        # dimension); an external target competes with the whole dataset.
+        duplicate = target_values in competitors
         if method not in METHODS:
             raise ReproError(
                 f"unknown method {method!r}; expected one of {METHODS}"
@@ -331,33 +344,45 @@ class SkylineProbabilityEngine:
             hits_before, misses_before = cache.hits, cache.misses
         scope = obs.query_scope()
         with scope, obs.stage("query"):
-            if duplicate:
-                # An equal dataset object dominates the target with
-                # probability 1 (duplicate convention), so sky = 0
-                # exactly — the same answer skyline_probability_det /
-                # _prepare return directly.  No algorithm runs.
-                report = SkylineReport(
-                    0.0, method, True, duplicate_target=True
+            factors_of = factor_source(self._preferences, cache)
+            try:
+                report = _solve_target(
+                    self._preferences,
+                    method,
+                    target_values,
+                    len(competitors),
+                    lambda position: factors_of(
+                        competitors[position], target_values
+                    ),
+                    competitors.__getitem__,
+                    lambda: preprocess(
+                        competitors,
+                        target_values,
+                        preferences=self._preferences,
+                        use_absorption=use_absorption,
+                        use_partition=use_partition,
+                        cache=cache,
+                    ),
+                    duplicate=duplicate,
+                    max_exact=self._max_exact_objects,
+                    det_kernel=det_kernel,
+                    epsilon=epsilon,
+                    delta=delta,
+                    samples=samples,
+                    seed=seed,
+                    cache=cache,
+                    deadline_at=deadline_at,
                 )
-            else:
-                try:
-                    report = self._answer(
-                        competitors, target_values, method,
-                        epsilon=epsilon, delta=delta, samples=samples,
-                        seed=seed, use_absorption=use_absorption,
-                        use_partition=use_partition, det_kernel=det_kernel,
-                        cache=cache, deadline_at=deadline_at,
-                    )
-                except DeadlineExceededError as expiry:
-                    if on_deadline == "raise":
-                        raise
-                    report = self._degrade_to_sampling(
-                        competitors, target_values, method,
-                        epsilon=epsilon, delta=delta, samples=samples,
-                        seed=seed, cache=cache, deadline=deadline,
-                        deadline_at=deadline_at, max_overrun=max_overrun,
-                        expiry=expiry,
-                    )
+            except DeadlineExceededError as expiry:
+                if on_deadline == "raise":
+                    raise
+                report = self._degrade_to_sampling(
+                    competitors, target_values, method,
+                    epsilon=epsilon, delta=delta, samples=samples,
+                    seed=seed, cache=cache, deadline=deadline,
+                    deadline_at=deadline_at, max_overrun=max_overrun,
+                    expiry=expiry,
+                )
         if collect:
             cache_hits = cache_misses = 0
             if cache is not None:
@@ -486,184 +511,6 @@ class SkylineProbabilityEngine:
         self._memo_hits = 0
         self._memo_misses = 0
 
-    def _answer(
-        self,
-        competitors: List[ObjectValues],
-        target_values: ObjectValues,
-        method: str,
-        *,
-        epsilon: float,
-        delta: float,
-        samples: int | None,
-        seed: object,
-        use_absorption: bool,
-        use_partition: bool,
-        det_kernel: str = DEFAULT_DET_KERNEL,
-        cache: DominanceCache | None = None,
-        deadline_at: float | None = None,
-    ) -> SkylineReport:
-        if method == "det":
-            result = skyline_probability_det(
-                self._preferences,
-                competitors,
-                target_values,
-                max_objects=self._max_exact_objects,
-                kernel=det_kernel,
-                cache=cache,
-                deadline_at=deadline_at,
-            )
-            return SkylineReport(
-                result.probability, "det", True, partition_results=(result,)
-            )
-        if method == "naive":
-            probability = skyline_probability_naive(
-                self._preferences, competitors, target_values
-            )
-            return SkylineReport(probability, "naive", True)
-        if method == "sam":
-            result = skyline_probability_sampled(
-                self._preferences,
-                competitors,
-                target_values,
-                epsilon=epsilon,
-                delta=delta,
-                samples=samples,
-                seed=seed,
-                cache=cache,
-            )
-            return SkylineReport(
-                result.estimate,
-                "sam",
-                False,
-                partition_results=(result,),
-                samples=result.samples,
-            )
-        prep = preprocess(
-            competitors,
-            target_values,
-            preferences=self._preferences,
-            use_absorption=use_absorption,
-            use_partition=use_partition,
-            cache=cache,
-        )
-        if method == "det+":
-            return self._solve_partitions(
-                competitors, target_values, prep, allow_sampling=False,
-                epsilon=epsilon, delta=delta, samples=samples, seed=seed,
-                method_name="det+", det_kernel=det_kernel, cache=cache,
-                deadline_at=deadline_at,
-            )
-        if method == "sam+":
-            kept = [competitors[i] for i in prep.kept_indices]
-            result = skyline_probability_sampled(
-                self._preferences,
-                kept,
-                target_values,
-                epsilon=epsilon,
-                delta=delta,
-                samples=samples,
-                seed=seed,
-                cache=cache,
-            )
-            return SkylineReport(
-                result.estimate,
-                "sam+",
-                False,
-                preprocessing=prep,
-                partition_results=(result,),
-                samples=result.samples,
-            )
-        # method == "auto": exact small partitions, sample the rest.
-        return self._solve_partitions(
-            competitors, target_values, prep, allow_sampling=True,
-            epsilon=epsilon, delta=delta, samples=samples, seed=seed,
-            method_name="auto", det_kernel=det_kernel, cache=cache,
-            deadline_at=deadline_at,
-        )
-
-    def _solve_partitions(
-        self,
-        competitors: List[ObjectValues],
-        target_values: ObjectValues,
-        prep: PreprocessResult,
-        *,
-        allow_sampling: bool,
-        epsilon: float,
-        delta: float,
-        samples: int | None,
-        seed: object,
-        method_name: str,
-        det_kernel: str = DEFAULT_DET_KERNEL,
-        cache: DominanceCache | None = None,
-        deadline_at: float | None = None,
-    ) -> SkylineReport:
-        """Multiply per-partition results per Theorem 4.
-
-        Partitions within the exact budget go to Algorithm 1.  Oversized
-        ones either fail (``det+``) or are sampled with the ε/δ budget
-        split evenly among them, keeping the product inside the requested
-        accuracy (absolute errors of [0, 1] factors add at worst).
-        """
-        oversized = [
-            part
-            for part in prep.partitions
-            if len(part) > self._max_exact_objects
-        ]
-        if oversized and not allow_sampling:
-            raise ComputationBudgetError(
-                f"efficient exact computation impossible: partition of size "
-                f"{max(len(part) for part in oversized)} exceeds "
-                f"max_exact_objects={self._max_exact_objects}; "
-                f"use method='sam+' or 'auto'"
-            )
-        share = max(1, len(oversized))
-        # One generator shared by all sampled partitions: re-seeding each
-        # partition with the same integer would correlate their estimates
-        # and bias the product.
-        rng = as_rng(seed) if oversized else None
-        probability = 1.0
-        results: List[object] = []
-        total_samples = 0
-        exact = True
-        for part in prep.partitions:
-            group = [competitors[i] for i in part]
-            if len(part) <= self._max_exact_objects:
-                result: object = skyline_probability_det(
-                    self._preferences,
-                    group,
-                    target_values,
-                    max_objects=self._max_exact_objects,
-                    kernel=det_kernel,
-                    cache=cache,
-                    deadline_at=deadline_at,
-                )
-                probability *= result.probability
-            else:
-                result = skyline_probability_sampled(
-                    self._preferences,
-                    group,
-                    target_values,
-                    epsilon=epsilon / share,
-                    delta=delta / share,
-                    samples=samples,
-                    seed=rng,
-                    cache=cache,
-                )
-                probability *= result.estimate
-                total_samples += result.samples
-                exact = False
-            results.append(result)
-            if probability == 0.0:
-                break
-        return SkylineReport(
-            min(max(probability, 0.0), 1.0),
-            method_name,
-            exact,
-            preprocessing=prep,
-            partition_results=tuple(results),
-            samples=total_samples,
-        )
-
     # ------------------------------------------------------------------
     # Dataset-level operators
     # ------------------------------------------------------------------
@@ -753,75 +600,212 @@ class SkylineProbabilityEngine:
         )
         return ranked[: min(k, len(ranked))]
 
-    # ------------------------------------------------------------------
-    def _resolve_target(
-        self, target: int | Sequence[Value]
-    ) -> Tuple[List[ObjectValues], ObjectValues, bool]:
-        """``(competitors, target values, duplicate?)`` for one query.
 
-        For an external-object target the *whole* dataset competes; a
-        dataset object equal to the target makes ``duplicate`` true, and
-        the query must answer ``sky = 0`` by the duplicate convention —
-        dropping the equal object instead would silently change the
-        semantics versus a direct :func:`skyline_probability_det` call.
-        """
-        if isinstance(target, int):
-            return (
-                list(self._dataset.others(target)),
-                self._dataset[target],
-                False,
+def _resolve_pool(
+    dataset: Dataset,
+    target: int | Sequence[Value],
+    restriction: object = None,
+) -> Tuple[ObjectValues, List[int], int | None]:
+    """``(target values, competitor pool, own index)`` for one query.
+
+    The one target resolver of the engine, the restriction planner and
+    the dynamic engine.  An index target must lie in ``[0, n)`` and is
+    dropped from its own pool (``own index`` is that index, ``None`` for
+    an external object).  The pool is every dataset position, or the
+    restriction's competitor subset when it names one, in ascending
+    order.
+    """
+    if isinstance(target, int):
+        if not 0 <= target < len(dataset):
+            raise DatasetError(
+                f"object index {target} out of range (dataset has "
+                f"{len(dataset)})"
             )
-        values = as_object(target)
-        if len(values) != self._dataset.dimensionality:
+        values, own = dataset[target], target
+    else:
+        values, own = as_object(target), None
+        if len(values) != dataset.dimensionality:
             raise DimensionalityError(
                 f"target has {len(values)} dimensions, dataset has "
-                f"{self._dataset.dimensionality}"
+                f"{dataset.dimensionality}"
             )
-        competitors = list(self._dataset)
-        duplicate = any(obj == values for obj in competitors)
-        return competitors, values, duplicate
+    subset = None if restriction is None else restriction.competitors
+    pool = range(len(dataset)) if subset is None else subset
+    return values, [position for position in pool if position != own], own
 
-    def _resolve_restricted(
-        self, target: int | Sequence[Value], restriction: object
-    ) -> Tuple[List[ObjectValues], ObjectValues, bool]:
-        """``(materialized competitors, target values, duplicate?)``.
 
-        The restricted twin of :meth:`_resolve_target`: the competitor
-        pool is the restriction's subset (minus the target's own index),
-        and each competitor is materialised with the target's values on
-        the dimensions outside the subspace — reducing the restricted
-        question to a full query every downstream algorithm already
-        answers.  ``duplicate`` is true when some materialised competitor
-        equals the target, which covers both genuine duplicates and
-        *projected* ones (equal on every retained dimension).
-        """
-        from repro.core.restricted import materialize_competitor
+class _ComponentMemo:
+    """Exact component results keyed on their factor structure.
 
-        if isinstance(target, int):
-            target_values = self._dataset[target]
-            excluded = target if target >= 0 else len(self._dataset) + target
-        else:
-            target_values = as_object(target)
-            if len(target_values) != self._dataset.dimensionality:
-                raise DimensionalityError(
-                    f"target has {len(target_values)} dimensions, dataset "
-                    f"has {self._dataset.dimensionality}"
-                )
-            excluded = None
-        pool = (
-            range(len(self._dataset))
-            if restriction.competitors is None
-            else restriction.competitors
+    Cells (or targets) inducing the same component share one Det
+    evaluation.  The key carries the kernel: ``"vec"`` differs from the
+    recursive kernels in the last ulps.  ``solves`` counts Det
+    evaluations performed (a ``det`` cell's included), ``hits`` results
+    served from the memo.
+    """
+
+    def __init__(self) -> None:
+        self.results: Dict[object, ExactResult] = {}
+        self.solves = 0
+        self.hits = 0
+
+
+def _solve_component(
+    factor_lists: Sequence[Sequence[DominanceFactor]],
+    *,
+    max_exact: int,
+    det_kernel: str,
+    deadline_at: float | None = None,
+    memo: _ComponentMemo | None = None,
+) -> ExactResult:
+    """Algorithm 1 on one component, through ``memo`` when one is given."""
+    if memo is not None:
+        key = (tuple(factor_lists), det_kernel)
+        result = memo.results.get(key)
+        if result is not None:
+            memo.hits += 1
+            return result
+    result = det_from_factor_lists(
+        factor_lists,
+        max_objects=max_exact,
+        kernel=det_kernel,
+        deadline_at=deadline_at,
+    )
+    if memo is not None:
+        memo.results[key] = result
+        memo.solves += 1
+    return result
+
+
+def _solve_target(
+    preferences: PreferenceModel,
+    method: str,
+    target: ObjectValues,
+    count: int,
+    factors_of: Callable[[int], Sequence[DominanceFactor]],
+    objects_of: Callable[[int], ObjectValues],
+    prepare: Callable[[], PreprocessResult],
+    *,
+    duplicate: bool,
+    max_exact: int,
+    det_kernel: str,
+    epsilon: float,
+    delta: float,
+    samples: int | None,
+    seed: object,
+    cache: DominanceCache | None,
+    deadline_at: float | None = None,
+    memo: _ComponentMemo | None = None,
+) -> SkylineReport:
+    """``sky(target)`` against ``count`` competitors by ``method``.
+
+    The one solve behind every engine query, planner cell and (through
+    :func:`_solve_component`) dynamic-view component.  Competitors are
+    named by position: ``factors_of`` gives one's dominance factors
+    (Det), ``objects_of`` its values (Sam and naive), and ``prepare``
+    builds the :class:`PreprocessResult` the ``+``/``auto`` methods
+    need.  ``duplicate`` marks a competitor equal to the target (on
+    every retained dimension): ``sky = 0`` exactly and nothing runs.
+
+    ``det+``/``auto`` multiply per-component results per Theorem 4.
+    Components within ``max_exact`` go to Algorithm 1 (through ``memo``
+    when given).  Oversized ones either fail (``det+``) or are sampled
+    with the ε/δ budget split evenly among them, keeping the product
+    inside the requested accuracy (absolute errors of [0, 1] factors
+    add at worst).
+    """
+    if duplicate:
+        return SkylineReport(0.0, method, True, duplicate_target=True)
+    if method == "naive":
+        probability = skyline_probability_naive(
+            preferences, [objects_of(p) for p in range(count)], target
         )
-        competitors = [
-            materialize_competitor(
-                self._dataset[position], target_values, restriction.dims
+        return SkylineReport(probability, "naive", True)
+    if method == "det":
+        # The whole pool in one evaluation: counted, never memoised.
+        result = _solve_component(
+            [factors_of(p) for p in range(count)],
+            max_exact=max_exact,
+            det_kernel=det_kernel,
+            deadline_at=deadline_at,
+        )
+        if memo is not None:
+            memo.solves += 1
+        return SkylineReport(
+            result.probability, "det", True, partition_results=(result,)
+        )
+    prep = None if method == "sam" else prepare()
+    if method in ("sam", "sam+"):
+        positions = range(count) if prep is None else prep.kept_indices
+        result = skyline_probability_sampled(
+            preferences,
+            [objects_of(p) for p in positions],
+            target,
+            epsilon=epsilon,
+            delta=delta,
+            samples=samples,
+            seed=seed,
+            cache=cache,
+        )
+        return SkylineReport(
+            result.estimate,
+            method,
+            False,
+            preprocessing=prep,
+            partition_results=(result,),
+            samples=result.samples,
+        )
+    oversized = [part for part in prep.partitions if len(part) > max_exact]
+    if oversized and method == "det+":
+        raise ComputationBudgetError(
+            f"efficient exact computation impossible: partition of size "
+            f"{max(len(part) for part in oversized)} exceeds "
+            f"max_exact_objects={max_exact}; use method='sam+' or 'auto'"
+        )
+    share = max(1, len(oversized))
+    # One generator shared by all sampled partitions: re-seeding each
+    # partition with the same integer would correlate their estimates
+    # and bias the product.
+    rng = as_rng(seed) if oversized else None
+    probability = 1.0
+    results: List[object] = []
+    total_samples = 0
+    exact = True
+    for part in prep.partitions:
+        if len(part) <= max_exact:
+            result = _solve_component(
+                [factors_of(member) for member in part],
+                max_exact=max_exact,
+                det_kernel=det_kernel,
+                deadline_at=deadline_at,
+                memo=memo,
             )
-            for position in pool
-            if position != excluded
-        ]
-        duplicate = any(values == target_values for values in competitors)
-        return competitors, target_values, duplicate
+            probability *= result.probability
+        else:
+            result = skyline_probability_sampled(
+                preferences,
+                [objects_of(member) for member in part],
+                target,
+                epsilon=epsilon / share,
+                delta=delta / share,
+                samples=samples,
+                seed=rng,
+                cache=cache,
+            )
+            probability *= result.estimate
+            total_samples += result.samples
+            exact = False
+        results.append(result)
+        if probability == 0.0:
+            break
+    return SkylineReport(
+        min(max(probability, 0.0), 1.0),
+        method,
+        exact,
+        preprocessing=prep,
+        partition_results=tuple(results),
+        samples=total_samples,
+    )
 
 
 def _record_query(stats: QueryStats) -> None:

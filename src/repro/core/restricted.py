@@ -40,30 +40,24 @@ the serve tier buckets coalesced requests on the restriction key.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.bounds import validate_accuracy
 from repro.core.dominance import DominanceCache, DominanceFactor, factor_source
-from repro.core.engine import METHODS, SkylineReport
-from repro.core.exact import (
-    DEFAULT_DET_KERNEL,
-    DEFAULT_MAX_OBJECTS,
-    DET_KERNELS,
-    ExactResult,
-    det_from_factor_lists,
+from repro.core.engine import (
+    METHODS,
+    SkylineProbabilityEngine,
+    SkylineReport,
+    _ComponentMemo,
+    _resolve_pool,
+    _solve_target,
 )
-from repro.core.naive import restricted_skyline_probability_naive
+from repro.core.exact import DEFAULT_DET_KERNEL, DET_KERNELS
 from repro.core.objects import Dataset, ObjectValues, Value, as_object
-from repro.core.preprocess import PreprocessResult, absorb_keys, partition_keys
-from repro.core.sampling import skyline_probability_sampled
-from repro.errors import (
-    ComputationBudgetError,
-    DatasetError,
-    DimensionalityError,
-    ReproError,
-)
-from repro.util.rng import as_rng
+from repro.core.preprocess import _preprocess_keys, _split_possible
+from repro.errors import DatasetError, DimensionalityError, ReproError
 
 __all__ = [
     "Restriction",
@@ -277,9 +271,9 @@ def restricted_skyline_probabilities(
     Parameters
     ----------
     engine:
-        A :class:`~repro.core.engine.SkylineProbabilityEngine` (or the
-        dynamic engine — anything exposing ``dataset``, ``preferences``
-        and ``skyline_probability``).
+        A :class:`~repro.core.engine.SkylineProbabilityEngine`, or a
+        :class:`~repro.core.dynamic.DynamicSkylineEngine`, whose inner
+        static engine (and so its ``max_exact_objects``) answers.
     targets:
         Dataset indices and/or external objects.  An index target is
         dropped from its own competitor subset.
@@ -315,9 +309,14 @@ def restricted_skyline_probabilities(
     # lazily imports this module — keep the lazy edge in one place.
     from repro.core.batch import spawn_batch_seeds
 
+    # A DynamicSkylineEngine exposes its static engine as `.engine`;
+    # unwrap it (duck-typed, as the batch planner does) so the shared
+    # pass solves with the same exact budget as share_pass=False.
+    inner = getattr(engine, "engine", None)
+    if isinstance(inner, SkylineProbabilityEngine):
+        engine = inner
     dataset = engine.dataset
     preferences = engine.preferences
-    max_exact = getattr(engine, "max_exact_objects", DEFAULT_MAX_OBJECTS)
     if method not in METHODS:
         raise ReproError(
             f"unknown method {method!r}; expected one of {METHODS}"
@@ -334,68 +333,50 @@ def restricted_skyline_probabilities(
     target_list = list(targets)
     if not target_list:
         raise ReproError("targets must name at least one target")
-    seed_list = spawn_batch_seeds(
-        method, len(target_list) * len(restriction_list), seed=seed
+    seeds = iter(
+        spawn_batch_seeds(
+            method, len(target_list) * len(restriction_list), seed=seed
+        )
     )
 
     if not share_pass:
-        rows = []
-        position = 0
-        for target in target_list:
-            row = []
-            for restriction in restriction_list:
-                row.append(
-                    engine.skyline_probability(
-                        target,
-                        method=method,
-                        epsilon=epsilon,
-                        delta=delta,
-                        samples=samples,
-                        seed=seed_list[position],
-                        det_kernel=det_kernel,
-                        cache=cache,
-                        competitors=restriction.competitors,
-                        dims=restriction.dims,
-                    )
+        rows = tuple(
+            tuple(
+                engine.skyline_probability(
+                    target,
+                    method=method,
+                    epsilon=epsilon,
+                    delta=delta,
+                    samples=samples,
+                    seed=next(seeds),
+                    det_kernel=det_kernel,
+                    cache=cache,
+                    competitors=restriction.competitors,
+                    dims=restriction.dims,
                 )
-                position += 1
-            rows.append(tuple(row))
+                for restriction in restriction_list
+            )
+            for target in target_list
+        )
         return RestrictedResult(
-            tuple(target_list),
-            tuple(restriction_list),
-            tuple(rows),
-            shared_pass=False,
+            tuple(target_list), tuple(restriction_list), rows, shared_pass=False
         )
 
     factors_of = factor_source(preferences, cache)
-    cardinality = len(dataset)
-    # Det solves memoised on the sliced factor structure itself: two
-    # restrictions (or targets) inducing the same component share one
-    # evaluation.  Keyed per kernel — "vec" differs in the last ulps.
-    component_memo: Dict[object, ExactResult] = {}
+    memo = _ComponentMemo()
     factor_passes = 0
-    component_solves = 0
-    component_hits = 0
     rows = []
-    position = 0
     for target in target_list:
-        target_values, excluded = _resolve_target(dataset, target)
+        cells = [
+            _resolve_pool(dataset, target, restriction)
+            for restriction in restriction_list
+        ]
+        target_values = cells[0][0]
+        pools = [pool for _, pool, _ in cells]
         # The union of every restriction's pool, factored once each.
-        needed = sorted(
-            {
-                index
-                for restriction in restriction_list
-                for index in (
-                    restriction.competitors
-                    if restriction.competitors is not None
-                    else range(cardinality)
-                )
-                if index != excluded
-            }
-        )
         full_factors = {
             index: factors_of(dataset[index], target_values)
-            for index in needed
+            for index in sorted({index for pool in pools for index in pool})
         }
         factor_passes += len(full_factors)
         # Restrictions sharing a subspace share each competitor's slice
@@ -403,18 +384,7 @@ def restricted_skyline_probabilities(
         # dims) pair, not once per restriction.
         slice_cache: Dict[object, Tuple[Tuple, Tuple]] = {}
         row = []
-        for restriction in restriction_list:
-            item_seed = seed_list[position]
-            position += 1
-            pool = [
-                index
-                for index in (
-                    restriction.competitors
-                    if restriction.competitors is not None
-                    else range(cardinality)
-                )
-                if index != excluded
-            ]
+        for restriction, pool in zip(restriction_list, pools):
             sliced = []
             keys = []
             for index in pool:
@@ -433,182 +403,31 @@ def restricted_skyline_probabilities(
                     slice_cache[(index, restriction.dims)] = entry
                 sliced.append(entry[0])
                 keys.append(entry[1])
-            if any(not factors for factors in sliced):
-                # Projected duplicate: certain domination, sky = 0.
-                row.append(
-                    SkylineReport(0.0, method, True, duplicate_target=True)
-                )
-                continue
-            if method == "naive":
-                probability = restricted_skyline_probability_naive(
-                    preferences,
-                    [dataset[index] for index in pool],
-                    target_values,
-                    dims=restriction.dims,
-                )
-                row.append(SkylineReport(probability, "naive", True))
-                continue
-            if method == "det":
-                result = det_from_factor_lists(
-                    sliced, max_objects=max_exact, kernel=det_kernel
-                )
-                component_solves += 1
-                row.append(
-                    SkylineReport(
-                        result.probability,
-                        "det",
-                        True,
-                        partition_results=(result,),
-                    )
-                )
-                continue
-            if method == "sam":
-                group = [
-                    materialize_competitor(
-                        dataset[index], target_values, restriction.dims
-                    )
-                    for index in pool
-                ]
-                result = skyline_probability_sampled(
-                    preferences,
-                    group,
-                    target_values,
-                    epsilon=epsilon,
-                    delta=delta,
-                    samples=samples,
-                    seed=item_seed,
-                    cache=cache,
-                )
-                row.append(
-                    SkylineReport(
-                        result.estimate,
-                        "sam",
-                        False,
-                        partition_results=(result,),
-                        samples=result.samples,
-                    )
-                )
-                continue
-            # The "+" pipeline on sliced keys — same cores, same order
-            # as repro.core.preprocess.preprocess, hence bit-identical.
-            absorption = absorb_keys(keys)
-            possible = []
-            dropped = []
-            for kept_position in absorption.kept_indices:
-                if any(
-                    probability == 0.0
-                    for _, _, probability in sliced[kept_position]
-                ):
-                    dropped.append(kept_position)
-                else:
-                    possible.append(kept_position)
-            partitions = tuple(
-                tuple(part) for part in partition_keys(keys, possible)
-            )
-            prep = PreprocessResult(
-                target=target_values,
-                kept_indices=tuple(possible),
-                absorbed_by=dict(absorption.absorbed_by),
-                dropped_impossible=tuple(dropped),
-                partitions=partitions,
-            )
-            if method == "sam+":
-                group = [
-                    materialize_competitor(
-                        dataset[pool[kept_position]],
-                        target_values,
-                        restriction.dims,
-                    )
-                    for kept_position in possible
-                ]
-                result = skyline_probability_sampled(
-                    preferences,
-                    group,
-                    target_values,
-                    epsilon=epsilon,
-                    delta=delta,
-                    samples=samples,
-                    seed=item_seed,
-                    cache=cache,
-                )
-                row.append(
-                    SkylineReport(
-                        result.estimate,
-                        "sam+",
-                        False,
-                        preprocessing=prep,
-                        partition_results=(result,),
-                        samples=result.samples,
-                    )
-                )
-                continue
-            # method in ("det+", "auto"): exact per component, sampling
-            # only for oversized components under "auto" — mirroring
-            # SkylineProbabilityEngine._solve_partitions.
-            oversized = [
-                part for part in partitions if len(part) > max_exact
-            ]
-            if oversized and method == "det+":
-                raise ComputationBudgetError(
-                    f"efficient exact computation impossible: partition of "
-                    f"size {max(len(part) for part in oversized)} exceeds "
-                    f"max_exact_objects={max_exact}; "
-                    f"use method='sam+' or 'auto'"
-                )
-            share = max(1, len(oversized))
-            rng = as_rng(item_seed) if oversized else None
-            probability = 1.0
-            results: List[object] = []
-            total_samples = 0
-            exact = True
-            for part in partitions:
-                if len(part) <= max_exact:
-                    structure = tuple(sliced[member] for member in part)
-                    memo_key = (structure, det_kernel)
-                    part_result = component_memo.get(memo_key)
-                    if part_result is None:
-                        part_result = det_from_factor_lists(
-                            structure, max_objects=max_exact, kernel=det_kernel
-                        )
-                        component_memo[memo_key] = part_result
-                        component_solves += 1
-                    else:
-                        component_hits += 1
-                    probability *= part_result.probability
-                    results.append(part_result)
-                else:
-                    group = [
-                        materialize_competitor(
-                            dataset[pool[member]],
-                            target_values,
-                            restriction.dims,
-                        )
-                        for member in part
-                    ]
-                    sampled = skyline_probability_sampled(
-                        preferences,
-                        group,
-                        target_values,
-                        epsilon=epsilon / share,
-                        delta=delta / share,
-                        samples=samples,
-                        seed=rng,
-                        cache=cache,
-                    )
-                    probability *= sampled.estimate
-                    total_samples += sampled.samples
-                    exact = False
-                    results.append(sampled)
-                if probability == 0.0:
-                    break
             row.append(
-                SkylineReport(
-                    min(max(probability, 0.0), 1.0),
+                _solve_target(
+                    preferences,
                     method,
-                    exact,
-                    preprocessing=prep,
-                    partition_results=tuple(results),
-                    samples=total_samples,
+                    target_values,
+                    len(pool),
+                    sliced.__getitem__,
+                    lambda position: materialize_competitor(
+                        dataset[pool[position]], target_values, restriction.dims
+                    ),
+                    lambda: _preprocess_keys(
+                        target_values,
+                        keys,
+                        functools.partial(_split_possible, sliced.__getitem__),
+                    ),
+                    # An empty slice is a projected duplicate.
+                    duplicate=not all(sliced),
+                    max_exact=engine.max_exact_objects,
+                    det_kernel=det_kernel,
+                    epsilon=epsilon,
+                    delta=delta,
+                    samples=samples,
+                    seed=next(seeds),
+                    cache=cache,
+                    memo=memo,
                 )
             )
         rows.append(tuple(row))
@@ -618,22 +437,6 @@ def restricted_skyline_probabilities(
         tuple(rows),
         shared_pass=True,
         factor_passes=factor_passes,
-        component_solves=component_solves,
-        component_hits=component_hits,
+        component_solves=memo.solves,
+        component_hits=memo.hits,
     )
-
-
-def _resolve_target(
-    dataset: Dataset, target: int | Sequence[Value]
-) -> Tuple[ObjectValues, int | None]:
-    """``(target values, excluded dataset index or None)``."""
-    if isinstance(target, int):
-        values = dataset[target]
-        return values, (target if target >= 0 else len(dataset) + target)
-    values = as_object(target)
-    if len(values) != dataset.dimensionality:
-        raise DimensionalityError(
-            f"target has {len(values)} dimensions, dataset has "
-            f"{dataset.dimensionality}"
-        )
-    return values, None
