@@ -52,9 +52,12 @@ objects):
   retried and salvaged runs stay bit-identical to clean runs for every
   surviving object.
 
-Every per-object answer is produced by the same
-:meth:`SkylineProbabilityEngine.skyline_probability` code path the serial
-loop uses, so batch results equal the per-object loop exactly (and
+Every chunk is answered by the engine's multi-target form: each object
+is planned as :meth:`SkylineProbabilityEngine.skyline_probability` plans
+it, one exact call solves the components of all of them (``"vec"``
+components sharing a key structure together, each bit-identical to a
+lone solve), and each object is finished as the per-object query
+finishes it.  So batch results equal the per-object loop exactly (and
 bit-for-bit for the sampled methods, given the matching spawned streams).
 """
 
@@ -66,7 +69,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import repro.obs as obs
 from repro.core.bounds import validate_accuracy, validate_robustness
@@ -76,6 +79,7 @@ from repro.core.engine import (
     METHODS,
     SkylineProbabilityEngine,
     SkylineReport,
+    _resolve_indices,
 )
 from repro.core.exact import DEFAULT_DET_KERNEL
 from repro.core.objects import Dataset
@@ -300,17 +304,7 @@ def plan_shards(
     dataset, the index list, and the cap — every run (and every resumed
     run) produces the same shards.
     """
-    dataset_size = len(dataset)
-    if indices is None:
-        index_list = list(range(dataset_size))
-    else:
-        index_list = [int(index) for index in indices]
-        for index in index_list:
-            if not 0 <= index < dataset_size:
-                raise ReproError(
-                    f"index {index} out of range (dataset has "
-                    f"{dataset_size} objects)"
-                )
+    index_list = _resolve_indices(dataset, indices)
     n = len(index_list)
     if max_shard_objects is None:
         max_shard_objects = max(1, -(-n // 8))
@@ -387,8 +381,10 @@ def _solve_chunk(
     Top-level (picklable) on purpose.  Each worker process rebuilds a
     lightweight engine and its own :class:`DominanceCache` — caches cannot
     be shared across process boundaries, but a chunk-local cache still
-    amortises lookups within the chunk.  Any failure aborts the chunk and
-    surfaces on its future; the coordinator re-dispatches in-process where
+    amortises lookups within the chunk.  The chunk is answered by
+    :func:`_run_chunk_inprocess` as its last attempt: any failure aborts
+    the chunk — the first failing task's error, in task order, surfaces
+    on its future — and the coordinator re-dispatches in-process where
     per-object recovery is cheap.  Returns the chunk's
     ``(position, report)`` pairs plus its cache hit/miss counts.
 
@@ -403,20 +399,28 @@ def _solve_chunk(
         dataset, preferences, max_exact_objects=max_exact_objects
     )
     cache = DominanceCache(preferences)
-    reports = []
-    for position, index, task_seed in tasks:
-        if injector is not None:
-            injector.before_task(index, attempt)
-        reports.append(
-            (
-                position,
-                engine.skyline_probability(
-                    index, method=method, seed=task_seed, cache=cache,
-                    **query_options,
-                ),
-            )
-        )
-    return reports, cache.hits, cache.misses
+    # The chunk's last attempt, raising the first failure in task order.
+    outcomes = _run_chunk_inprocess(
+        engine, cache, method, query_options, injector, tasks,
+        attempts_done=attempt - 1, max_retries=attempt - 1, backoff=0.0,
+        on_error="raise",
+    )
+    return (
+        [(position, report) for position, report, _, _ in outcomes],
+        cache.hits,
+        cache.misses,
+    )
+
+
+def _give_up(
+    index: int, error: Exception, attempts: int, on_error: str
+) -> BatchFailure:
+    """A task out of attempts: raise its error or record it as a failure."""
+    if on_error == "raise":
+        raise error
+    return BatchFailure(
+        index, type(error).__name__, str(error), max(attempts, 1)
+    )
 
 
 def _run_task_with_retry(
@@ -465,11 +469,7 @@ def _run_task_with_retry(
             last_error = error
             if isinstance(error, ReproError):
                 break  # deterministic: retrying cannot change the outcome
-    if on_error == "raise":
-        raise last_error
-    failure = BatchFailure(
-        index, type(last_error).__name__, str(last_error), max(attempt, 1)
-    )
+    failure = _give_up(index, last_error, attempt, on_error)
     return position, None, failure, retries_used
 
 
@@ -486,16 +486,69 @@ def _run_chunk_inprocess(
     backoff: float,
     on_error: str,
     last_error: Exception | None = None,
+    beat: Callable[[int, int], None] | None = None,
 ) -> List[_Outcome]:
-    """Per-object isolation pass: one bad task cannot poison its chunk."""
-    return [
-        _run_task_with_retry(
-            engine, cache, method, query_options, injector, task,
-            attempts_done=attempts_done, max_retries=max_retries,
-            backoff=backoff, on_error=on_error, last_error=last_error,
-        )
-        for task in chunk
-    ]
+    """Answer a chunk in-process; one bad task cannot poison its chunk.
+
+    The chunk's next attempt is one pass of the engine's multi-target
+    form: the injector is consulted before each task (after its backoff
+    when the attempt is a retry), every task is planned, one exact call
+    solves them all and each is finished.  A task that fails there goes
+    on alone: a :class:`ReproError` is recorded or raised, anything else
+    is retried per task (:func:`_run_task_with_retry`).  On the last
+    attempt under ``on_error="raise"`` the pass plans nothing after the
+    first failure, which then raises.  ``beat(done, total)`` is a
+    heartbeat outside every task, called at each step of the pass and
+    before each per-task retry, with ``done`` the tasks whose outcome
+    is settled; what it raises aborts the chunk.
+    """
+    attempt = attempts_done + 1
+    if attempt > max_retries + 1:
+        # Every attempt is spent: record (or raise) the error that did it.
+        return [
+            _run_task_with_retry(
+                engine, cache, method, query_options, injector, task,
+                attempts_done=attempts_done, max_retries=max_retries,
+                backoff=backoff, on_error=on_error, last_error=last_error,
+            )
+            for task in chunk
+        ]
+    total = len(chunk)
+
+    def before(position: int) -> None:
+        if attempt > 1:
+            _sleep_backoff(backoff, attempt)
+        if injector is not None:
+            injector.before_task(chunk[position][1], attempt)
+
+    answers = engine._skyline_probability_many(
+        [(index, task_seed) for _, index, task_seed in chunk],
+        before=before,
+        beat=None if beat is None else lambda: beat(0, total),
+        stop_at_error=on_error == "raise" and attempt > max_retries,
+        method=method,
+        cache=cache,
+        **query_options,
+    )
+    retried = int(attempt > 1)
+    outcomes: List[_Outcome] = []
+    for done, (task, answer) in enumerate(zip(chunk, answers)):
+        position, index, _ = task
+        if isinstance(answer, SkylineReport):
+            outcomes.append((position, answer, None, retried))
+        elif isinstance(answer, ReproError):
+            failure = _give_up(index, answer, attempt, on_error)
+            outcomes.append((position, None, failure, retried))
+        else:
+            if beat is not None:
+                beat(done, total)
+            position, report, failure, retries_used = _run_task_with_retry(
+                engine, cache, method, query_options, injector, task,
+                attempts_done=attempt, max_retries=max_retries,
+                backoff=backoff, on_error=on_error, last_error=answer,
+            )
+            outcomes.append((position, report, failure, retries_used + retried))
+    return outcomes
 
 
 def batch_skyline_probabilities(
@@ -554,8 +607,11 @@ def batch_skyline_probabilities(
     chunk_size:
         Objects per worker task (default: one chunk per worker, which
         maximises what each worker-local dominance cache can amortise;
-        pass something smaller for finer load balancing).  Affects
-        scheduling only, never the answers.
+        pass something smaller for finer load balancing).  A chunk is
+        answered through one exact call, so it is also the unit that
+        shares ``"vec"`` evaluations between objects (with ``workers=1``
+        the default is one chunk of every object).  Affects scheduling
+        only, never the answers.
     epsilon, delta, samples, seed, use_absorption, use_partition, det_kernel:
         As in :meth:`SkylineProbabilityEngine.skyline_probability`.
         ``seed`` feeds one spawned stream per object for the sampling
@@ -659,17 +715,7 @@ def batch_skyline_probabilities(
         raise ReproError(
             f"chunk_size must be a positive integer or None, got {chunk_size!r}"
         )
-    dataset_size = len(engine.dataset)
-    if indices is None:
-        index_list = list(range(dataset_size))
-    else:
-        index_list = [int(index) for index in indices]
-        for index in index_list:
-            if not 0 <= index < dataset_size:
-                raise ReproError(
-                    f"index {index} out of range (dataset has "
-                    f"{dataset_size} objects)"
-                )
+    index_list = _resolve_indices(engine.dataset, indices)
     if cache is None:
         cache = DominanceCache(engine.preferences)
     elif cache.preferences is not engine.preferences:
@@ -730,12 +776,13 @@ def batch_skyline_probabilities(
         max_retries=max_retries, backoff=backoff, on_error=on_error
     )
     if workers == 1:
-        absorb(
-            _run_chunk_inprocess(
-                engine, cache, method, query_options, fault_injector, tasks,
-                attempts_done=0, **recovery_policy,
+        for chunk in _chunked(tasks, chunk_size or n):
+            absorb(
+                _run_chunk_inprocess(
+                    engine, cache, method, query_options, fault_injector,
+                    chunk, attempts_done=0, **recovery_policy,
+                )
             )
-        )
     else:
         if chunk_size is None:
             chunk_size = max(1, -(-n // workers))

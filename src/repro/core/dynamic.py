@@ -59,12 +59,12 @@ from repro.core.exact import (
     DEFAULT_MAX_OBJECTS,
     DET_KERNELS,
     ExactResult,
+    det_from_factor_lists,
 )
 from repro.core.engine import (
     SkylineProbabilityEngine,
     SkylineReport,
     _resolve_pool,
-    _solve_component,
 )
 from repro.core.objects import Dataset, ObjectValues, Value, as_object
 from repro.core.preferences import PreferenceModel
@@ -846,10 +846,10 @@ class DynamicSkylineEngine:
         keys = frozenset(
             key for member in members for key in _differing_keys(member, target)
         )
-        result = _solve_component(
+        result = det_from_factor_lists(
             [self._cache.dominance_factors(member, target) for member in members],
-            max_exact=self._max_exact_objects,
-            det_kernel=self._det_kernel,
+            max_objects=self._max_exact_objects,
+            kernel=self._det_kernel,
         )
         return PartitionFactor(members, keys, result)
 

@@ -27,9 +27,11 @@ single-object query: all-objects probabilities, the probabilistic skyline
 
 from __future__ import annotations
 
+import bisect
+import operator
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import repro.obs as obs
 from repro.core.bounds import (
@@ -44,7 +46,7 @@ from repro.core.exact import (
     DEFAULT_MAX_OBJECTS,
     DET_KERNELS,
     ExactResult,
-    det_from_factor_lists,
+    _solve,
 )
 from repro.core.naive import skyline_probability_naive
 from repro.core.objects import Dataset, ObjectValues, Value, as_object
@@ -260,8 +262,160 @@ class SkylineProbabilityEngine:
         pre-serving behaviour): the estimate's accuracy contract is then
         never silently weakened, at the price of an unbounded tail.
         """
+        options = dict(
+            method=method,
+            epsilon=epsilon,
+            delta=delta,
+            samples=samples,
+            seed=seed,
+            use_absorption=use_absorption,
+            use_partition=use_partition,
+            det_kernel=det_kernel,
+            cache=cache,
+            deadline=deadline,
+            on_deadline=on_deadline,
+            max_overrun=max_overrun,
+            competitors=competitors,
+            dims=dims,
+        )
+        query = self._open(target, options)
+        cached = self._memoised(query)
+        if cached is not None:
+            return cached
+        self._memo_misses += 1
+        with query:
+            components: List[List[Sequence[DominanceFactor]]] = []
+            self._plan(query, components)
+            outcomes = self._exact(components, det_kernel, query.deadline_at)
+            report = self._finish(query, outcomes)
+        return self._close(query, report)
+
+    def _skyline_probability_many(
+        self,
+        tasks: Sequence[Tuple[int | Sequence[Value], object]],
+        *,
+        before: Callable[[int], None] | None = None,
+        beat: Callable[[], None] | None = None,
+        stop_at_error: bool = False,
+        **options: object,
+    ) -> List[object]:
+        """Answer many ``(target, seed)`` tasks through one exact call.
+
+        The multi-target form of :meth:`skyline_probability`, with every
+        option but the seed shared.  Each target is planned (duplicate
+        rule, method dispatch, the ``det+`` budget error, component
+        lists), then one :func:`~repro.core.exact._solve` call evaluates
+        the exact components of all of them — ``"vec"`` components of
+        one key structure together — and each target is finished in
+        task order.  Every report equals the one
+        :meth:`skyline_probability` returns.
+
+        Returns, per task, its report or the exception it raised; one
+        failing task fails nothing else.  ``before(k)`` runs first in
+        task ``k`` (a failpoint: what it raises is the task's answer).
+        ``beat()`` is a supervisor's heartbeat, called before each task
+        is planned, in the exact call before each structure group and
+        before each task's components solved alone, and before each
+        target is finished; what it raises aborts the whole call.
+        ``stop_at_error`` plans no task after the first one that fails,
+        leaving their answers ``None``: for callers that raise the first
+        failure in task order.  The memo behaves as for one query after
+        another: a target repeated within the tasks is answered after
+        its first occurrence is finished, so it is a memo hit whenever
+        that answer is exact.  An armed ``deadline`` answers the tasks
+        one at a time, so each deadline starts with its own query.
+        """
+        answers: List[object] = [None] * len(tasks)
+
+        def alone(position: int) -> None:
+            target, seed = tasks[position]
+            try:
+                answers[position] = self.skyline_probability(
+                    target, seed=seed, **options
+                )
+            except Exception as error:
+                answers[position] = error
+
+        if options["deadline"] is not None:
+            for position in range(len(tasks)):
+                if beat is not None:
+                    beat()
+                try:
+                    if before is not None:
+                        before(position)
+                except Exception as error:
+                    answers[position] = error
+                else:
+                    alone(position)
+                if stop_at_error and isinstance(answers[position], Exception):
+                    break
+            return answers
+        planned: List[Tuple[int, _Query]] = []
+        open_keys: set = set()
+        repeats: List[int] = []
+        components: List[List[Sequence[DominanceFactor]]] = []
+        starts: List[int] = []  # where each task's components begin
+        for position, (target, seed) in enumerate(tasks):
+            if beat is not None:
+                beat()
+            starts.append(len(components))
+            try:
+                if before is not None:
+                    before(position)
+                query = self._open(target, dict(options, seed=seed))
+                if query.key in open_keys:
+                    repeats.append(position)
+                    continue
+                cached = self._memoised(query)
+                if cached is not None:
+                    answers[position] = cached
+                    continue
+                self._memo_misses += 1
+                with query:
+                    self._plan(query, components)
+            except Exception as error:
+                answers[position] = error
+                if stop_at_error:
+                    break
+                continue
+            open_keys.add(query.key)
+            planned.append((position, query))
+        beaten = None
+
+        def solving(component: int | None) -> None:
+            # One beat before each group, and one before the first of each
+            # task's components solved alone (they come consecutively).
+            nonlocal beaten
+            task = None if component is None else bisect.bisect_right(starts, component)
+            if task is None or task != beaten:
+                beaten = task
+                beat()
+
+        outcomes = self._exact(
+            components,
+            options["det_kernel"],
+            progress=None if beat is None else solving,
+        )
+        for position, query in planned:
+            if beat is not None:
+                beat()
+            try:
+                with query:
+                    report = self._finish(query, outcomes)
+                answers[position] = self._close(query, report)
+            except Exception as error:
+                answers[position] = error
+        for position in repeats:
+            if beat is not None:
+                beat()
+            alone(position)
+        return answers
+
+    def _open(self, target: int | Sequence[Value], options: dict) -> "_Query":
+        """Resolve and validate one query; its memo key names the answer."""
         restriction = None
-        if competitors is not None or dims is not None:
+        subset, dims = options.get("competitors"), options.get("dims")
+        if subset is not None or dims is not None:
             # Imported lazily: repro.core.restricted builds SkylineReport
             # objects, so a top-level import would be circular.
             from repro.core.restricted import (
@@ -270,7 +424,7 @@ class SkylineProbabilityEngine:
             )
 
             restriction = normalize_restriction(
-                self._dataset, competitors=competitors, dims=dims
+                self._dataset, competitors=subset, dims=dims
             )
             if restriction.is_full:
                 restriction = None  # the full query, just spelled out
@@ -289,21 +443,24 @@ class SkylineProbabilityEngine:
         # Also covers projected duplicates (equal on every retained
         # dimension); an external target competes with the whole dataset.
         duplicate = target_values in competitors
+        method = options["method"]
         if method not in METHODS:
             raise ReproError(
                 f"unknown method {method!r}; expected one of {METHODS}"
             )
-        if det_kernel not in DET_KERNELS:
+        if options["det_kernel"] not in DET_KERNELS:
             raise ReproError(
-                f"unknown det_kernel {det_kernel!r}; "
+                f"unknown det_kernel {options['det_kernel']!r}; "
                 f"expected one of {DET_KERNELS}"
             )
-        validate_accuracy(epsilon, delta, samples)
-        validate_robustness(deadline=deadline, max_overrun=max_overrun)
-        if on_deadline not in DEADLINE_POLICIES:
+        validate_accuracy(options["epsilon"], options["delta"], options["samples"])
+        validate_robustness(
+            deadline=options["deadline"], max_overrun=options["max_overrun"]
+        )
+        if options["on_deadline"] not in DEADLINE_POLICIES:
             raise RobustnessPolicyError(
-                f"unknown on_deadline policy {on_deadline!r}; expected one "
-                f"of {DEADLINE_POLICIES}"
+                f"unknown on_deadline policy {options['on_deadline']!r}; "
+                f"expected one of {DEADLINE_POLICIES}"
             )
         # `duplicate` is part of the key: an index query for object i and
         # an external-object query for the same values are *different*
@@ -313,82 +470,122 @@ class SkylineProbabilityEngine:
         # recursive kernels in the last ulps — a memo hit must never
         # cross kernels.  The restriction key (None for full queries)
         # keeps restricted answers from ever colliding with full ones.
-        cache_key = (
+        key = (
             target_values,
             duplicate,
             method,
-            use_absorption,
-            use_partition,
-            det_kernel,
+            options["use_absorption"],
+            options["use_partition"],
+            options["det_kernel"],
             None if restriction is None else restriction.key,
             self._preferences.version,
         )
-        cached = self._exact_cache.get(cache_key)
+        return _Query(key, options, target_values, competitors, duplicate)
+
+    def _memoised(self, query: "_Query") -> SkylineReport | None:
+        """The memoised answer to ``query``, counted as a hit, or ``None``."""
+        cached = self._exact_cache.get(query.key)
         if cached is not None:
             self._memo_hits += 1
             obs.count(
                 "repro_queries_total",
                 help_text="Engine queries answered, by method and outcome.",
-                method=method,
+                method=query.options["method"],
                 outcome="memoised",
             )
-            return cached
-        self._memo_misses += 1
-        deadline_at = (
+        return cached
+
+    def _plan(
+        self,
+        query: "_Query",
+        components: List[List[Sequence[DominanceFactor]]],
+    ) -> None:
+        """Plan ``query``, appending its exact components to ``components``."""
+        options = query.options
+        deadline = options["deadline"]
+        query.deadline_at = (
             None if deadline is None else time.monotonic() + deadline
         )
-        collect = obs.is_enabled()
-        started = time.perf_counter() if collect else 0.0
-        hits_before = misses_before = 0
-        if collect and cache is not None:
-            hits_before, misses_before = cache.hits, cache.misses
-        scope = obs.query_scope()
-        with scope, obs.stage("query"):
-            factors_of = factor_source(self._preferences, cache)
-            try:
-                report = _solve_target(
-                    self._preferences,
-                    method,
-                    target_values,
-                    len(competitors),
-                    lambda position: factors_of(
-                        competitors[position], target_values
-                    ),
-                    competitors.__getitem__,
-                    lambda: preprocess(
-                        competitors,
-                        target_values,
-                        preferences=self._preferences,
-                        use_absorption=use_absorption,
-                        use_partition=use_partition,
-                        cache=cache,
-                    ),
-                    duplicate=duplicate,
-                    max_exact=self._max_exact_objects,
-                    det_kernel=det_kernel,
-                    epsilon=epsilon,
-                    delta=delta,
-                    samples=samples,
-                    seed=seed,
-                    cache=cache,
-                    deadline_at=deadline_at,
-                )
-            except DeadlineExceededError as expiry:
-                if on_deadline == "raise":
-                    raise
-                report = self._degrade_to_sampling(
-                    competitors, target_values, method,
-                    epsilon=epsilon, delta=delta, samples=samples,
-                    seed=seed, cache=cache, deadline=deadline,
-                    deadline_at=deadline_at, max_overrun=max_overrun,
-                    expiry=expiry,
-                )
-        if collect:
-            cache_hits = cache_misses = 0
-            if cache is not None:
-                cache_hits = cache.hits - hits_before
-                cache_misses = cache.misses - misses_before
-            if duplicate:
+        cache = options["cache"]
+        factors_of = factor_source(self._preferences, cache)
+        competitors = query.competitors
+        target_values = query.target
+        query.plan = _plan_target(
+            self._preferences,
+            options["method"],
+            target_values,
+            len(competitors),
+            lambda position: factors_of(competitors[position], target_values),
+            competitors.__getitem__,
+            lambda: preprocess(
+                competitors,
+                target_values,
+                preferences=self._preferences,
+                use_absorption=options["use_absorption"],
+                use_partition=options["use_partition"],
+                cache=cache,
+            ),
+            components,
+            duplicate=query.duplicate,
+            max_exact=self._max_exact_objects,
+            det_kernel=options["det_kernel"],
+            epsilon=options["epsilon"],
+            delta=options["delta"],
+            samples=options["samples"],
+            seed=options["seed"],
+            cache=cache,
+        )
+
+    def _exact(
+        self,
+        components: List[List[Sequence[DominanceFactor]]],
+        det_kernel: str,
+        deadline_at: float | None = None,
+        progress: Callable[[int | None], None] | None = None,
+    ) -> List[ExactResult | Exception]:
+        """One exact call over ``components`` (none when there are none)."""
+        if not components:
+            return []
+        return _solve(
+            components,
+            max_objects=self._max_exact_objects,
+            kernel=det_kernel,
+            deadline_at=deadline_at,
+            progress=progress,
+        )
+
+    def _finish(
+        self, query: "_Query", outcomes: Sequence[ExactResult | Exception]
+    ) -> SkylineReport:
+        """``query``'s report from its components' exact outcomes.
+
+        An expired deadline follows the query's ``on_deadline`` policy.
+        """
+        try:
+            return _finish_target(query.plan, outcomes)
+        except DeadlineExceededError as expiry:
+            options = query.options
+            if options["on_deadline"] == "raise":
+                raise
+            return self._degrade_to_sampling(
+                query.competitors,
+                query.target,
+                options["method"],
+                epsilon=options["epsilon"],
+                delta=options["delta"],
+                samples=options["samples"],
+                seed=options["seed"],
+                cache=options["cache"],
+                deadline=options["deadline"],
+                deadline_at=query.deadline_at,
+                max_overrun=options["max_overrun"],
+                expiry=expiry,
+            )
+
+    def _close(self, query: "_Query", report: SkylineReport) -> SkylineReport:
+        """Attach ``query``'s stats (obs enabled) and memoise an exact report."""
+        if query.collect:
+            if query.duplicate:
                 outcome = "duplicate_target"
             elif report.degraded:
                 outcome = "degraded"
@@ -397,16 +594,16 @@ class SkylineProbabilityEngine:
             stats = query_stats_from_report(
                 report,
                 outcome=outcome,
-                competitors=len(competitors),
-                cache_hits=cache_hits,
-                cache_misses=cache_misses,
-                wall_seconds=time.perf_counter() - started,
-                stage_seconds=scope.stage_seconds,
+                competitors=len(query.competitors),
+                cache_hits=query.cache_hits,
+                cache_misses=query.cache_misses,
+                wall_seconds=query.seconds,
+                stage_seconds=query.scope.stage_seconds,
             )
             report = replace(report, stats=stats)
             _record_query(stats)
         if report.exact:
-            self._exact_cache[cache_key] = report
+            self._exact_cache[query.key] = report
         return report
 
     def _degrade_to_sampling(
@@ -601,6 +798,35 @@ class SkylineProbabilityEngine:
         return ranked[: min(k, len(ranked))]
 
 
+def _resolve_index(dataset: Dataset, index: object) -> int:
+    """``index`` as a dataset position, or :class:`DatasetError`.
+
+    The one index rule of every entry point: an integer — NumPy integers
+    included, through :func:`operator.index` — in ``[0, n)``.
+    """
+    try:
+        position = operator.index(index)
+    except TypeError:
+        raise DatasetError(
+            f"object index {index!r} is not an integer"
+        ) from None
+    if not 0 <= position < len(dataset):
+        raise DatasetError(
+            f"object index {position} out of range (dataset has "
+            f"{len(dataset)} objects)"
+        )
+    return position
+
+
+def _resolve_indices(
+    dataset: Dataset, indices: Sequence[object] | None
+) -> List[int]:
+    """Dataset positions of a batch's ``indices`` (default: all, in order)."""
+    if indices is None:
+        return list(range(len(dataset)))
+    return [_resolve_index(dataset, index) for index in indices]
+
+
 def _resolve_pool(
     dataset: Dataset,
     target: int | Sequence[Value],
@@ -609,29 +835,83 @@ def _resolve_pool(
     """``(target values, competitor pool, own index)`` for one query.
 
     The one target resolver of the engine, the restriction planner and
-    the dynamic engine.  An index target must lie in ``[0, n)`` and is
-    dropped from its own pool (``own index`` is that index, ``None`` for
-    an external object).  The pool is every dataset position, or the
-    restriction's competitor subset when it names one, in ascending
-    order.
+    the dynamic engine.  An integer target (NumPy integers included) is
+    an index and must lie in ``[0, n)``; it is dropped from its own pool
+    (``own index`` is that index, ``None`` for an external object).  The
+    pool is every dataset position, or the restriction's competitor
+    subset when it names one, in ascending order.
     """
-    if isinstance(target, int):
-        if not 0 <= target < len(dataset):
+    try:
+        operator.index(target)
+    except TypeError:
+        try:
+            values, own = as_object(target), None
+        except TypeError:
             raise DatasetError(
-                f"object index {target} out of range (dataset has "
-                f"{len(dataset)})"
-            )
-        values, own = dataset[target], target
-    else:
-        values, own = as_object(target), None
+                f"target {target!r} is neither an object index (an "
+                f"integer) nor a sequence of values"
+            ) from None
         if len(values) != dataset.dimensionality:
             raise DimensionalityError(
                 f"target has {len(values)} dimensions, dataset has "
                 f"{dataset.dimensionality}"
             )
+    else:
+        own = _resolve_index(dataset, target)
+        values = dataset[own]
     subset = None if restriction is None else restriction.competitors
     pool = range(len(dataset)) if subset is None else subset
     return values, [position for position in pool if position != own], own
+
+
+@dataclass(eq=False)
+class _Query:
+    """One engine query between its memo miss and its report.
+
+    Used as a context around each stretch of the query's own work (its
+    planning, its finishing; a single query's exact call too): the
+    stretch runs inside the query's obs scope and ``query`` stage, and
+    its wall time and dominance-cache traffic add to the query's stats.
+    A chunk's exact call runs outside every query's stretches.
+    """
+
+    key: tuple
+    options: dict
+    target: ObjectValues
+    competitors: List[ObjectValues]
+    duplicate: bool
+    deadline_at: float | None = None
+    plan: object = None
+    collect: bool = field(default_factory=obs.is_enabled)
+    scope: object = field(default_factory=obs.query_scope)
+    seconds: float = 0.0
+    cache_hits: int = 0
+    cache_misses: int = 0
+
+    def __enter__(self) -> "_Query":
+        self.scope.__enter__()
+        self._stage = obs.stage("query")
+        self._stage.__enter__()
+        if self.collect:
+            cache = self.options["cache"]
+            self._entered = (
+                time.perf_counter(),
+                0 if cache is None else cache.hits,
+                0 if cache is None else cache.misses,
+            )
+        return self
+
+    def __exit__(self, *exc_info: object) -> bool:
+        if self.collect:
+            started, hits, misses = self._entered
+            self.seconds += time.perf_counter() - started
+            cache = self.options["cache"]
+            if cache is not None:
+                self.cache_hits += cache.hits - hits
+                self.cache_misses += cache.misses - misses
+        self._stage.__exit__(*exc_info)
+        self.scope.__exit__(*exc_info)
+        return False
 
 
 class _ComponentMemo:
@@ -650,31 +930,24 @@ class _ComponentMemo:
         self.hits = 0
 
 
-def _solve_component(
-    factor_lists: Sequence[Sequence[DominanceFactor]],
-    *,
-    max_exact: int,
-    det_kernel: str,
-    deadline_at: float | None = None,
-    memo: _ComponentMemo | None = None,
-) -> ExactResult:
-    """Algorithm 1 on one component, through ``memo`` when one is given."""
-    if memo is not None:
-        key = (tuple(factor_lists), det_kernel)
-        result = memo.results.get(key)
-        if result is not None:
-            memo.hits += 1
-            return result
-    result = det_from_factor_lists(
-        factor_lists,
-        max_objects=max_exact,
-        kernel=det_kernel,
-        deadline_at=deadline_at,
-    )
-    if memo is not None:
-        memo.results[key] = result
-        memo.solves += 1
-    return result
+class _TargetPlan(NamedTuple):
+    """A ``det``/``det+``/``auto`` target waiting for its exact outcomes.
+
+    ``steps`` holds one entry per partition, in order: the component's
+    position in the exact call (an ``int``), a memoised
+    :class:`ExactResult`, or the oversized part to sample (its member
+    positions).  ``keys`` maps a solved component's position to its
+    ``memo`` key.  ``sample(part, share, rng)`` estimates an oversized
+    part with the target's Sam options.
+    """
+
+    method: str
+    prep: PreprocessResult | None
+    steps: List[object]
+    memo: _ComponentMemo | None
+    keys: Dict[int, object]
+    seed: object
+    sample: Callable[[Sequence[int], int, object], SamplingResult] | None
 
 
 def _solve_target(
@@ -694,25 +967,65 @@ def _solve_target(
     samples: int | None,
     seed: object,
     cache: DominanceCache | None,
-    deadline_at: float | None = None,
     memo: _ComponentMemo | None = None,
 ) -> SkylineReport:
     """``sky(target)`` against ``count`` competitors by ``method``.
 
-    The one solve behind every engine query, planner cell and (through
-    :func:`_solve_component`) dynamic-view component.  Competitors are
-    named by position: ``factors_of`` gives one's dominance factors
-    (Det), ``objects_of`` its values (Sam and naive), and ``prepare``
-    builds the :class:`PreprocessResult` the ``+``/``auto`` methods
-    need.  ``duplicate`` marks a competitor equal to the target (on
-    every retained dimension): ``sky = 0`` exactly and nothing runs.
+    The one solve behind every planner cell, in three steps: plan
+    (:func:`_plan_target`), one exact call over the target's
+    components, finish (:func:`_finish_target`).  The engine runs the
+    same steps around its own exact call, for one target or many.
+    """
+    components: List[List[Sequence[DominanceFactor]]] = []
+    plan = _plan_target(
+        preferences, method, target, count, factors_of, objects_of, prepare,
+        components, duplicate=duplicate, max_exact=max_exact,
+        det_kernel=det_kernel, epsilon=epsilon, delta=delta,
+        samples=samples, seed=seed, cache=cache, memo=memo,
+    )
+    outcomes: List[ExactResult | Exception] = []
+    if components:
+        outcomes = _solve(
+            components, max_objects=max_exact, kernel=det_kernel, deadline_at=None
+        )
+    return _finish_target(plan, outcomes)
 
-    ``det+``/``auto`` multiply per-component results per Theorem 4.
-    Components within ``max_exact`` go to Algorithm 1 (through ``memo``
-    when given).  Oversized ones either fail (``det+``) or are sampled
-    with the ε/δ budget split evenly among them, keeping the product
-    inside the requested accuracy (absolute errors of [0, 1] factors
-    add at worst).
+
+def _plan_target(
+    preferences: PreferenceModel,
+    method: str,
+    target: ObjectValues,
+    count: int,
+    factors_of: Callable[[int], Sequence[DominanceFactor]],
+    objects_of: Callable[[int], ObjectValues],
+    prepare: Callable[[], PreprocessResult],
+    components: List[List[Sequence[DominanceFactor]]],
+    *,
+    duplicate: bool,
+    max_exact: int,
+    det_kernel: str,
+    epsilon: float,
+    delta: float,
+    samples: int | None,
+    seed: object,
+    cache: DominanceCache | None,
+    memo: _ComponentMemo | None = None,
+) -> SkylineReport | _TargetPlan:
+    """Plan ``sky(target)``: a finished report, or what finishing needs.
+
+    Competitors are named by position: ``factors_of`` gives one's
+    dominance factors (Det), ``objects_of`` its values (Sam and naive),
+    and ``prepare`` builds the :class:`PreprocessResult` the ``+``/
+    ``auto`` methods need.  ``duplicate`` marks a competitor equal to
+    the target (on every retained dimension): ``sky = 0`` exactly and
+    nothing runs.  ``naive``, ``sam`` and ``sam+`` are answered here.
+
+    ``det`` solves the whole pool as one component.  ``det+``/``auto``
+    plan one step per Theorem-4 component: components within
+    ``max_exact`` go to Algorithm 1 — served by ``memo`` when it holds
+    them, else appended to ``components`` for the exact call — and
+    oversized ones either fail here (``det+``) or are sampled when the
+    target is finished.
     """
     if duplicate:
         return SkylineReport(0.0, method, True, duplicate_target=True)
@@ -723,17 +1036,9 @@ def _solve_target(
         return SkylineReport(probability, "naive", True)
     if method == "det":
         # The whole pool in one evaluation: counted, never memoised.
-        result = _solve_component(
-            [factors_of(p) for p in range(count)],
-            max_exact=max_exact,
-            det_kernel=det_kernel,
-            deadline_at=deadline_at,
-        )
-        if memo is not None:
-            memo.solves += 1
-        return SkylineReport(
-            result.probability, "det", True, partition_results=(result,)
-        )
+        steps = [len(components)]
+        components.append([factors_of(p) for p in range(count)])
+        return _TargetPlan("det", None, steps, memo, {}, seed, None)
     prep = None if method == "sam" else prepare()
     if method in ("sam", "sam+"):
         positions = range(count) if prep is None else prep.kept_indices
@@ -762,36 +1067,83 @@ def _solve_target(
             f"{max(len(part) for part in oversized)} exceeds "
             f"max_exact_objects={max_exact}; use method='sam+' or 'auto'"
         )
-    share = max(1, len(oversized))
+    steps: List[object] = []
+    keys: Dict[int, object] = {}
+    for part in prep.partitions:
+        if len(part) > max_exact:
+            steps.append(part)
+            continue
+        factor_lists = [factors_of(member) for member in part]
+        if memo is not None:
+            key = (tuple(factor_lists), det_kernel)
+            known = memo.results.get(key)
+            if known is not None:
+                steps.append(known)
+                continue
+            keys[len(components)] = key
+        steps.append(len(components))
+        components.append(factor_lists)
+
+    def sample(part: Sequence[int], share: int, rng: object) -> SamplingResult:
+        return skyline_probability_sampled(
+            preferences,
+            [objects_of(member) for member in part],
+            target,
+            epsilon=epsilon / share,
+            delta=delta / share,
+            samples=samples,
+            seed=rng,
+            cache=cache,
+        )
+
+    return _TargetPlan(method, prep, steps, memo, keys, seed, sample)
+
+
+def _finish_target(
+    plan: SkylineReport | _TargetPlan,
+    outcomes: Sequence[ExactResult | Exception],
+) -> SkylineReport:
+    """The report of a planned target, given its components' outcomes.
+
+    ``outcomes`` holds the outcomes of the exact call the target's
+    components went to.  Per Theorem 4 the per-component results multiply, in
+    partition order, stopping at a zero product.  A component that
+    failed raises its error when reached.  Oversized components are
+    sampled with the ε/δ budget split evenly among them, keeping the
+    product inside the requested accuracy (absolute errors of [0, 1]
+    factors add at worst).
+    """
+    if isinstance(plan, SkylineReport):
+        return plan
+    sampled = sum(
+        1 for step in plan.steps if not isinstance(step, (int, ExactResult))
+    )
+    share = max(1, sampled)
     # One generator shared by all sampled partitions: re-seeding each
     # partition with the same integer would correlate their estimates
     # and bias the product.
-    rng = as_rng(seed) if oversized else None
+    rng = as_rng(plan.seed) if sampled else None
+    memo = plan.memo
     probability = 1.0
     results: List[object] = []
     total_samples = 0
     exact = True
-    for part in prep.partitions:
-        if len(part) <= max_exact:
-            result = _solve_component(
-                [factors_of(member) for member in part],
-                max_exact=max_exact,
-                det_kernel=det_kernel,
-                deadline_at=deadline_at,
-                memo=memo,
-            )
+    for step in plan.steps:
+        if isinstance(step, int):
+            result = outcomes[step]
+            if isinstance(result, Exception):
+                raise result
+            if memo is not None:
+                memo.solves += 1
+                if step in plan.keys:
+                    memo.results[plan.keys[step]] = result
+            probability *= result.probability
+        elif isinstance(step, ExactResult):
+            result = step
+            memo.hits += 1
             probability *= result.probability
         else:
-            result = skyline_probability_sampled(
-                preferences,
-                [objects_of(member) for member in part],
-                target,
-                epsilon=epsilon / share,
-                delta=delta / share,
-                samples=samples,
-                seed=rng,
-                cache=cache,
-            )
+            result = plan.sample(step, share, rng)
             probability *= result.estimate
             total_samples += result.samples
             exact = False
@@ -800,9 +1152,9 @@ def _solve_target(
             break
     return SkylineReport(
         min(max(probability, 0.0), 1.0),
-        method,
+        plan.method,
         exact,
-        preprocessing=prep,
+        preprocessing=plan.prep,
         partition_results=tuple(results),
         samples=total_samples,
     )

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import repro.obs as obs
 from repro.core.dominance import DominanceCache, DominanceFactor, factor_source
@@ -225,7 +225,7 @@ def skyline_probability_det(
         path pays nothing either way.
     """
     factors_of = factor_source(preferences, cache)
-    return _solve(
+    return _solve_one(
         (factors_of(q, target) for q in competitors),
         max_objects=max_objects,
         max_terms=max_terms,
@@ -254,7 +254,7 @@ def det_from_factor_lists(
     count is guarded by ``max_objects``, and ``kernel`` routes the same
     way.
     """
-    return _solve(
+    return _solve_one(
         factor_lists,
         max_objects=max_objects,
         kernel=kernel,
@@ -262,66 +262,134 @@ def det_from_factor_lists(
     )
 
 
+def _solve_one(
+    factor_lists: Iterable[Sequence[DominanceFactor]], **options: object
+) -> ExactResult:
+    """The one-component case of :func:`_solve`: its result, or its error."""
+    (outcome,) = _solve((factor_lists,), **options)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def _solve(
-    factor_lists: Iterable[Sequence[DominanceFactor]],
+    components: Iterable[Iterable[Sequence[DominanceFactor]]],
     *,
     max_objects: int,
     kernel: str,
     deadline_at: float | None,
     max_terms: int | None = None,
     share_computation: bool = True,
-) -> ExactResult:
-    """Filter, guard, route and solve one component for both entry points.
+    progress: Callable[[int | None], None] | None = None,
+) -> List[ExactResult | Exception]:
+    """Filter, guard, route and solve many components; one outcome each.
 
-    The kernel rule lives here, once.  ``"auto"`` is resolved from the
-    post-filter dominator count ``n`` alone, so it is a pure function of
-    the component: ``"vec"`` for ``VEC_CROSSOVER <= n <= VEC_MAX_OBJECTS``,
-    ``"fast"`` otherwise.  A set ``max_terms`` needs per-term accounting,
-    which only ``"reference"`` has; an armed deadline turns ``"fast"``
-    into the bit-identical ``"reference"`` (which checks it every 1024
-    terms), while ``"vec"`` checks it natively between doubling levels.
-    Private, so the public functions stay the only places a caller (or
-    a tracer wrapping them) enters the exact layer.
+    The kernel rule lives here, once, and applies to each component
+    alone.  ``"auto"`` is resolved from the post-filter dominator count
+    ``n``, so it is a pure function of the component: ``"vec"`` for
+    ``VEC_CROSSOVER <= n <= VEC_MAX_OBJECTS``, ``"fast"`` otherwise.  A
+    set ``max_terms`` needs per-term accounting, which only
+    ``"reference"`` has; an armed deadline turns ``"fast"`` into the
+    bit-identical ``"reference"`` (which checks it every 1024 terms),
+    while ``"vec"`` checks it natively between doubling levels.
+
+    Recursive-kernel components are solved one at a time, as they come.
+    ``"vec"`` components are grouped by key structure and each group is
+    evaluated in one :func:`~repro.core.exact_vec.det_shared_vec_rows`
+    call, whose rows are bit-identical to lone evaluations.  Each solve
+    is one ``exact`` obs stage.  ``progress`` is called before each
+    solve — with the component's position, or ``None`` before a group —
+    and what it raises propagates (it drives a supervisor's heartbeat).
+    A component that fails — a guard, an expired deadline — yields its
+    exception in place of a result and fails nothing else; the obs
+    counters are recorded per solved component.  The engine's exact
+    entry; :func:`skyline_probability_det` and
+    :func:`det_from_factor_lists` are its one-component case.
     """
     if kernel not in DET_KERNELS:
         raise ValueError(
             f"unknown kernel {kernel!r}; expected one of {DET_KERNELS}"
         )
-    _check_deadline(deadline_at, 0)
-    kept = _keep_dominators(factor_lists)
-    if kept is None:
-        # Duplicate convention: an equal competitor dominates with
-        # probability 1, so sky = 0 and *no* object survives the filter
-        # to take part in any enumeration — objects_used is 0.
-        obs.count(
-            "repro_duplicate_targets_total",
-            help_text="Queries answered 0 by the duplicate-target convention.",
-        )
-        return ExactResult(0.0, 0, 0)
-    n = len(kept)
-    if n > max_objects:
-        raise ComputationBudgetError(
-            f"exact enumeration over {n} dominance events needs up to "
-            f"2^{n} terms, beyond the max_objects={max_objects} budget; "
-            f"preprocess (absorption/partition) or use sampling"
-        )
-    if kernel == "auto":
-        kernel = "vec" if VEC_CROSSOVER <= n <= VEC_MAX_OBJECTS else "fast"
-    with obs.stage("exact"):
-        if not share_computation:
-            result = _det_without_sharing(kept, max_terms, deadline_at)
-        elif kernel == "vec" and max_terms is None:
-            # Imported lazily: exact_vec imports this module for the
-            # shared helpers, so a top-level import would be circular.
-            from repro.core.exact_vec import det_shared_vec
-
-            result = det_shared_vec(kept, deadline_at)
-        elif kernel != "fast" or max_terms is not None or deadline_at is not None:
-            result = _det_shared_reference(kept, max_terms, deadline_at)
+    outcomes: List[ExactResult | Exception | None] = []
+    groups: Dict[Tuple[Tuple[int, ...], ...], List[Tuple[int, tuple]]] = {}
+    structure_of = None
+    for factor_lists in components:
+        position = len(outcomes)
+        outcomes.append(None)
+        try:
+            _check_deadline(deadline_at, 0)
+            kept = _keep_dominators(factor_lists)
+            if kept is None:
+                # Duplicate convention: an equal competitor dominates with
+                # probability 1, so sky = 0 and *no* object survives the
+                # filter to take part in any enumeration — objects_used is 0.
+                obs.count(
+                    "repro_duplicate_targets_total",
+                    help_text="Queries answered 0 by the duplicate-target convention.",
+                )
+                outcomes[position] = ExactResult(0.0, 0, 0)
+                continue
+            n = len(kept)
+            if n > max_objects:
+                raise ComputationBudgetError(
+                    f"exact enumeration over {n} dominance events needs up to "
+                    f"2^{n} terms, beyond the max_objects={max_objects} budget; "
+                    f"preprocess (absorption/partition) or use sampling"
+                )
+        except Exception as error:
+            # The error is this component's outcome: the target it belongs
+            # to raises it when finished, and no other component fails.
+            outcomes[position] = error
+            continue
+        if kernel == "auto":
+            routed = "vec" if VEC_CROSSOVER <= n <= VEC_MAX_OBJECTS else "fast"
         else:
-            result = _det_shared_fast(kept)
-    _record_exact(result)
-    return result
+            routed = kernel
+        if routed == "vec" and max_terms is None and share_computation:
+            if structure_of is None:
+                # Imported lazily: exact_vec imports this module for the
+                # shared helpers, so a top-level import would be circular.
+                from repro.core.exact_vec import _structure as structure_of
+            structure, row = structure_of(kept)
+            groups.setdefault(structure, []).append((position, row))
+            continue
+        if progress is not None:
+            progress(position)
+        try:
+            with obs.stage("exact"):
+                if not share_computation:
+                    result = _det_without_sharing(kept, max_terms, deadline_at)
+                elif (
+                    routed != "fast"
+                    or max_terms is not None
+                    or deadline_at is not None
+                ):
+                    result = _det_shared_reference(kept, max_terms, deadline_at)
+                else:
+                    result = _det_shared_fast(kept)
+        except Exception as error:
+            outcomes[position] = error
+            continue
+        outcomes[position] = result
+        _record_exact(result)
+    if groups:
+        from repro.core.exact_vec import det_shared_vec_rows
+
+        for structure, members in groups.items():
+            if progress is not None:
+                progress(None)
+            try:
+                with obs.stage("exact"):
+                    results = det_shared_vec_rows(
+                        structure, [row for _, row in members], deadline_at
+                    )
+            except Exception as error:
+                results = [error] * len(members)
+            for (position, _), result in zip(members, results):
+                outcomes[position] = result
+                if isinstance(result, ExactResult):
+                    _record_exact(result)
+    return outcomes
 
 
 def _record_exact(result: ExactResult) -> None:

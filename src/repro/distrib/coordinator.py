@@ -10,9 +10,11 @@ dispatches inside one pool; the coordinator additionally survives:
 * **worker death** — a SIGKILLed/crashed worker surfaces as a broken
   pipe or a dead process; its shard is re-dispatched to a respawned
   worker with capped exponential backoff;
-* **worker hangs** — workers heartbeat before every object; a shard
-  whose heartbeat goes stale past ``stall_timeout`` is declared hung,
-  its worker killed and respawned;
+* **worker hangs** — workers heartbeat before planning, solving and
+  finishing every object, before each structure group of a shard's one
+  exact call and before each per-object retry (at most one message per
+  10 ms); a shard whose heartbeat goes stale past ``stall_timeout`` is
+  declared hung, its worker killed and respawned;
 * **stragglers** — a shard running past an adaptive p95-based hedge
   threshold is speculatively re-dispatched to an idle worker; the first
   result wins (and is bit-identical to the loser's by construction:
@@ -63,6 +65,7 @@ from repro.core.engine import (
     DEADLINE_POLICIES,
     METHODS,
     SkylineProbabilityEngine,
+    _resolve_indices,
 )
 from repro.core.exact import DEFAULT_DET_KERNEL
 from repro.errors import (
@@ -103,11 +106,13 @@ class DistribConfig:
     so the plan — and the checkpoint fingerprint — survives a resume
     with a different pool size).  ``stall_timeout`` is the
     heartbeat staleness after which a busy worker is declared hung
-    (it must exceed the slowest single-object query — heartbeats have
-    per-object granularity).  ``hedge_multiplier`` scales the p95 of
-    completed shard durations into the speculative re-dispatch
-    threshold (``None`` disables hedging; ``hedge_floor`` keeps
-    microsecond shards from hedging on scheduler noise;
+    (it must exceed the slowest single-object query or structure group
+    — heartbeats come per object step, per group and per retry, at
+    most one per 10 ms).
+    ``hedge_multiplier`` scales the p95 of completed shard durations
+    into the speculative re-dispatch threshold (``None`` disables
+    hedging; ``hedge_floor`` keeps microsecond shards from hedging on
+    scheduler noise;
     ``hedge_min_completions`` completions are required before the p95
     is trusted).  ``max_shard_retries`` bounds shard re-dispatches
     (the circuit breaker), ``task_retries`` the planner-style in-worker
@@ -363,17 +368,7 @@ class ShardCoordinator:
                 f"method (see repro.robustness.FaultInjector), got "
                 f"{fault_injector!r}"
             )
-        dataset_size = len(engine.dataset)
-        if indices is None:
-            index_list = list(range(dataset_size))
-        else:
-            index_list = [int(index) for index in indices]
-            for index in index_list:
-                if not 0 <= index < dataset_size:
-                    raise ReproError(
-                        f"index {index} out of range (dataset has "
-                        f"{dataset_size} objects)"
-                    )
+        index_list = _resolve_indices(engine.dataset, indices)
         n = len(index_list)
         collect = obs.is_enabled()
         started = time.perf_counter()

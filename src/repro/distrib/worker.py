@@ -2,13 +2,17 @@
 
 One worker is one OS process holding one end of a duplex pipe.  It
 announces itself, then loops: receive a
-:class:`~repro.distrib.protocol.ShardTask`, answer its objects one by
-one through the *same* retry/salvage machinery the batch planner uses
-in-process (:func:`repro.core.batch._run_task_with_retry`), and send
-back a :class:`~repro.distrib.protocol.ShardPayload`.  Before each
-object it emits a heartbeat, so the coordinator's liveness model has
-per-object granularity: a worker that stops beating mid-shard is hung
-(or dead), not merely busy.
+:class:`~repro.distrib.protocol.ShardTask`, answer its objects through
+the *same* chunk runner and retry/salvage machinery the batch planner
+uses in-process (:func:`repro.core.batch._run_chunk_inprocess`), and
+send back a :class:`~repro.distrib.protocol.ShardPayload`.  It offers a
+heartbeat before planning each object; in the shard's one exact call,
+before each structure group and before each object's components solved
+alone; before finishing each object; and before each per-object retry.
+It sends the first beat of a shard and then any beat offered at least
+``_BEAT_INTERVAL`` (10 ms) after the last one sent.  So the
+coordinator's liveness model keeps per-object granularity: a worker
+that stops beating mid-shard is hung (or dead), not merely busy.
 
 Determinism notes, because they carry the whole fault-tolerance story:
 
@@ -39,15 +43,17 @@ silence, both at the coordinator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import math
+import time
+from typing import Callable, Dict, List, Tuple
 
 import repro.obs as obs
 
 # The worker deliberately reuses the batch planner's private in-process
-# task runner: it is the single implementation of "answer one object
-# with retry, backoff and salvage", and sharded execution must match its
-# semantics bit for bit.
-from repro.core.batch import BatchFailure, _run_task_with_retry
+# chunk runner: it is the single implementation of "answer a chunk, each
+# object with retry, backoff and salvage", and sharded execution must
+# match its semantics bit for bit.
+from repro.core.batch import BatchFailure, _run_chunk_inprocess
 from repro.core.dominance import DominanceCache
 from repro.core.engine import SkylineProbabilityEngine
 from repro.distrib.protocol import (
@@ -63,6 +69,29 @@ from repro.distrib.protocol import (
 )
 
 __all__ = ["worker_main", "execute_shard"]
+
+#: Shortest gap between two heartbeat messages of one shard.  The chunk
+#: runner offers a beat at every step (each object's planning, solves,
+#: finishing and retries, each structure group); sending every one would
+#: wake the coordinator once per step, and on a small host its wake-ups
+#: take CPU from the workers.  A worker's silence stays bounded by one
+#: step plus this gap, far below any workable ``stall_timeout``.
+_BEAT_INTERVAL = 0.01
+
+
+def _throttled(send: Callable[[int, int], None]) -> Callable[[int, int], None]:
+    """``send``, skipping calls made within ``_BEAT_INTERVAL`` of the last
+    one it let through (the first always goes through)."""
+    last = -math.inf
+
+    def beat(done: int, total: int) -> None:
+        nonlocal last
+        now = time.monotonic()
+        if now - last >= _BEAT_INTERVAL:
+            last = now
+            send(done, total)
+
+    return beat
 
 
 def execute_shard(
@@ -83,8 +112,14 @@ def execute_shard(
     Factored out of the process loop so the coordinator can also run a
     shard *inline* (workers=0 debugging, and the salvage path of a shard
     whose objects persistently fail) and so tests can exercise shard
-    execution without process machinery.  ``beat`` is called as
-    ``beat(done, total)`` before each object when provided.
+    execution without process machinery.  The shard's objects are
+    answered as one chunk: each is planned, one exact call solves all of
+    them, and each is finished.  ``beat`` is called as ``beat(done,
+    total)`` before each object is planned, in the exact call before
+    each structure group and before each object's components solved
+    alone, before each object is finished and before each per-object
+    retry; an error it raises (the coordinator's pipe is gone) aborts
+    the shard.
     """
     injector = fault_injector
     if injector is not None and task.attempt_offset:
@@ -96,22 +131,20 @@ def execute_shard(
     reports: List[Tuple[int, object]] = []
     failures: List[Tuple[int, BatchFailure]] = []
     retries = 0
-    total = len(task.tasks)
-    for done, entry in enumerate(task.tasks):
-        if beat is not None:
-            beat(done, total)
-        position, report, failure, retries_used = _run_task_with_retry(
-            engine,
-            cache,
-            method,
-            query_options,
-            injector,
-            entry,
-            attempts_done=0,
-            max_retries=task_retries,
-            backoff=backoff,
-            on_error="salvage" if task.salvage else "raise",
-        )
+    outcomes = _run_chunk_inprocess(
+        engine,
+        cache,
+        method,
+        query_options,
+        injector,
+        list(task.tasks),
+        attempts_done=0,
+        max_retries=task_retries,
+        backoff=backoff,
+        on_error="salvage" if task.salvage else "raise",
+        beat=beat,
+    )
+    for position, report, failure, retries_used in outcomes:
         retries += retries_used
         if report is not None:
             reports.append((position, report))
@@ -174,8 +207,10 @@ def worker_main(
                     fault_injector=fault_injector,
                     task_retries=task_retries,
                     backoff=backoff,
-                    beat=lambda done, total: conn.send(
-                        (MSG_BEAT, worker_id, task.shard_id, done, total)
+                    beat=_throttled(
+                        lambda done, total: conn.send(
+                            (MSG_BEAT, worker_id, task.shard_id, done, total)
+                        )
                     ),
                 )
                 conn.send(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import strategies as st
 
 from repro.core.preferences import PreferenceModel
@@ -13,6 +15,7 @@ __all__ = [
     "edit_script",
     "apply_edit",
     "restricted_instance",
+    "structure_rows",
 ]
 
 
@@ -271,3 +274,57 @@ def disjoint_instance(draw):
                 competitor.append(f"o{j}")
         competitors.append(tuple(competitor))
     return preferences, competitors, target
+
+
+@st.composite
+def structure_rows(draw, max_objects=16, max_rows=40):
+    """Components sharing one key structure, as factor lists.
+
+    Up to ``max_objects`` objects draw ``(dimension, value)`` keys from
+    small per-dimension pools, so keys are shared between objects (an
+    object may hold only shared keys).  Every component (row) keeps the
+    keys and jitters the factors — one factor per key, as a target's
+    dominance factors are — and some rows carry 1e-200 factors whose
+    products underflow to exact zeros (zero pruning).
+    """
+    n = draw(st.integers(min_value=1, max_value=max_objects))
+    d = draw(st.integers(min_value=1, max_value=4))
+    pool = draw(st.integers(min_value=1, max_value=4))
+    objects = []
+    for _ in range(n):
+        dims = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=d - 1),
+                min_size=1,
+                max_size=d,
+                unique=True,
+            )
+        )
+        objects.append(
+            tuple(
+                (dim, f"v{draw(st.integers(min_value=0, max_value=pool - 1))}")
+                for dim in sorted(dims)
+            )
+        )
+    keys = sorted({key for keys in objects for key in keys})
+    base = {
+        key: draw(st.floats(min_value=0.02, max_value=0.98)) for key in keys
+    }
+    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    components = []
+    for _ in range(rows):
+        underflow = rng.random() < 0.25
+        factor = {
+            key: (
+                1e-200
+                if underflow and rng.random() < 0.3
+                else min(1.0, base[key] * rng.uniform(0.5, 1.5))
+            )
+            for key in keys
+        }
+        components.append(
+            [tuple((dim, value, factor[(dim, value)]) for dim, value in obj)
+             for obj in objects]
+        )
+    return components

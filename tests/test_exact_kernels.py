@@ -27,13 +27,20 @@ import time
 import pytest
 from hypothesis import given, settings
 
+from repro.core.dominance import dominance_factors as engine_factors
 from repro.core.dynamic import DynamicSkylineEngine
 from repro.core.exact import (
     DET_KERNELS,
     VEC_CROSSOVER,
+    _solve,
+    det_from_factor_lists,
     skyline_probability_det,
 )
-from repro.core.exact_vec import VEC_MAX_OBJECTS
+from repro.core.exact_vec import (
+    VEC_MAX_OBJECTS,
+    _structure,
+    det_shared_vec_rows,
+)
 from repro.core.engine import SkylineProbabilityEngine
 from repro.core.preferences import PreferenceModel
 from repro.data.blockzipf import block_zipf_dataset
@@ -484,6 +491,97 @@ class TestRoutedDefault:
         )
         assert routed == reference
         assert routed.objects_used == VEC_MAX_OBJECTS + 2
+
+
+class TestGroupedDispatch:
+    """Many components in one exact call: grouped vec, isolated failures."""
+
+    def _components(self):
+        # The components of every fourth target under block-zipf (sizes
+        # on both sides of the crossover), plus copies of the largest
+        # with scaled factors: the same key structure, other values.
+        dataset = block_zipf_dataset(40, 3, seed=20)
+        preferences = HashedPreferenceModel(3, seed=21)
+        engine = SkylineProbabilityEngine(dataset, preferences)
+        components = []
+        for index in range(0, 40, 4):
+            competitors = list(dataset.others(index))
+            prep = engine.skyline_probability(index, method="det+").preprocessing
+            for part in prep.partitions:
+                components.append(
+                    [
+                        engine_factors(preferences, competitors[m], dataset[index])
+                        for m in part
+                    ]
+                )
+        large = max(components, key=len)
+        assert len(large) >= VEC_CROSSOVER
+        for scale in (0.5, 0.75, 0.9):
+            components.append(
+                [
+                    tuple((j, v, f * scale) for j, v, f in factors)
+                    for factors in large
+                ]
+            )
+        return components
+
+    def test_outcomes_equal_one_component_calls(self):
+        components = self._components()
+        solves = []
+        outcomes = _solve(
+            components,
+            max_objects=25,
+            kernel="auto",
+            deadline_at=None,
+            progress=solves.append,
+        )
+        assert len(outcomes) == len(components)
+        for component, outcome in zip(components, outcomes):
+            assert outcome == det_from_factor_lists(component)
+        vec = {
+            _structure(c)[0]
+            for c in components
+            if VEC_CROSSOVER <= len(c) <= VEC_MAX_OBJECTS
+        }
+        # every recursive solve is announced with its position, in order,
+        # then each group: one call per structure, and the scaled copies
+        # shared one
+        alone = [p for p, c in enumerate(components) if len(c) < VEC_CROSSOVER]
+        assert solves == alone + [None] * len(vec)
+        assert len(vec) < sum(1 for c in components if VEC_CROSSOVER <= len(c))
+
+    def test_failing_component_fails_only_itself(self):
+        components = self._components()
+        small, large = min(components, key=len), max(components, key=len)
+        outcomes = _solve(
+            [small, large, [(), *large], large],
+            max_objects=len(large) - 1,
+            kernel="auto",
+            deadline_at=None,
+        )
+        assert outcomes[0] == det_from_factor_lists(small)
+        # over budget: each copy carries its own error
+        for position in (1, 3):
+            assert isinstance(outcomes[position], ComputationBudgetError)
+        assert outcomes[1] is not outcomes[3]
+        # a duplicate competitor answers 0 before any budget applies
+        assert outcomes[2].probability == 0.0
+
+    def test_grouped_call_with_expired_deadline_raises(self):
+        components = self._components()
+        large = max(components, key=len)
+        structure, row = _structure(large)
+        with pytest.raises(DeadlineExceededError):
+            det_shared_vec_rows(
+                structure, [row, row], deadline_at=time.monotonic() - 0.001
+            )
+        outcomes = _solve(
+            [large, large],
+            max_objects=25,
+            kernel="vec",
+            deadline_at=time.monotonic() - 0.001,
+        )
+        assert all(isinstance(o, DeadlineExceededError) for o in outcomes)
 
 
 class TestInstrumentationNeutrality:

@@ -35,14 +35,16 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.core.exact import skyline_probability_det
+from repro.core import exact_vec
+from repro.core.exact import _det_shared_reference, skyline_probability_det
+from repro.core.exact_vec import _structure, det_shared_vec, det_shared_vec_rows
 from repro.core.preferences import PreferenceModel
 from repro.data.blockzipf import block_zipf_dataset
 from repro.data.examples import running_example
 from repro.data.procedural import HashedPreferenceModel
 from repro.data.uniform import uniform_dataset
 
-from strategies import shared_value_instance, uncertain_instance
+from strategies import shared_value_instance, structure_rows, uncertain_instance
 
 TOLERANCE = 1e-12
 
@@ -184,3 +186,58 @@ class TestToleranceClasses:
         reference = _kernel(preferences, competitors, ("o",), "reference")
         assert vec.terms_evaluated == reference.terms_evaluated
         assert vec.probability == reference.probability == 1.0
+
+
+def _grouped(components):
+    """One grouped kernel call over components of one structure."""
+    pairs = [_structure(component) for component in components]
+    structure = pairs[0][0]
+    assert all(other == structure for other, _ in pairs)
+    return det_shared_vec_rows(structure, [row for _, row in pairs])
+
+
+class TestGroupedRows:
+    """Rows of one key structure, evaluated together, equal lone rows.
+
+    Each row of a grouped call sees its lone evaluation's float
+    operations in the same order and is summed alone, so the grouped
+    result is bit-identical to the one-row call — zero-pruning counts
+    included — and inherits its tolerance against ``reference``.
+    """
+
+    @given(structure_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_one_row_calls_bit_for_bit(self, components):
+        for component, grouped in zip(components, _grouped(components)):
+            alone = det_shared_vec(component)
+            assert grouped == alone
+            assert repr(grouped.probability) == repr(alone.probability)
+            reference = _det_shared_reference(component, None)
+            assert grouped.terms_evaluated == reference.terms_evaluated
+            assert grouped.objects_used == reference.objects_used
+            assert grouped.probability == pytest.approx(
+                reference.probability, rel=TOLERANCE, abs=TOLERANCE
+            )
+
+    def test_more_rows_than_one_slice(self):
+        # 16 objects fill 2^16 floats per row, so a slice holds 4 rows
+        # and 11 rows run in three slices.
+        n, rows = 16, 11
+        assert rows > exact_vec.SLICE_FLOATS >> n
+        keys = [((i % 4, i % 5), (4, i % 3)) for i in range(n)]
+
+        def factor(row, dim, value):
+            return 0.05 + 0.9 * ((31 * row + 7 * dim + 13 * value) % 97) / 97
+
+        components = [
+            [
+                tuple((dim, value, factor(row, dim, value)) for dim, value in obj)
+                for obj in keys
+            ]
+            for row in range(rows)
+        ]
+        grouped = _grouped(components)
+        assert len(grouped) == rows
+        for component, result in zip(components, grouped):
+            assert result == det_shared_vec(component)
+            assert result.objects_used == n
