@@ -52,13 +52,16 @@ objects):
   retried and salvaged runs stay bit-identical to clean runs for every
   surviving object.
 
-Every chunk is answered by the engine's multi-target form: each object
-is planned as :meth:`SkylineProbabilityEngine.skyline_probability` plans
-it, one exact call solves the components of all of them (``"vec"``
-components sharing a key structure together, each bit-identical to a
-lone solve), and each object is finished as the per-object query
-finishes it.  So batch results equal the per-object loop exactly (and
-bit-for-bit for the sampled methods, given the matching spawned streams).
+Every chunk is answered by the engine's multi-target form: its objects
+are planned together by the tile pass when there are enough of them
+(one at a time otherwise, as
+:meth:`SkylineProbabilityEngine.skyline_probability` plans each, with
+the same result), one exact call solves the components of all of them
+(``"vec"`` components sharing a key structure together, each
+bit-identical to a lone solve), and each object is finished as the
+per-object query finishes it.  So batch results equal the per-object
+loop exactly (and bit-for-bit for the sampled methods, given the
+matching spawned streams).
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ from repro.core.engine import (
     METHODS,
     SkylineProbabilityEngine,
     SkylineReport,
+    _check_det_kernel,
     _resolve_indices,
 )
 from repro.core.exact import DEFAULT_DET_KERNEL
@@ -678,6 +682,12 @@ def batch_skyline_probabilities(
         engine = inner
     if method not in METHODS:
         raise ReproError(f"unknown method {method!r}; expected one of {METHODS}")
+    _check_det_kernel(det_kernel)
+    if competitors is not None or dims is not None:
+        # Imported lazily: repro.core.restricted imports this module.
+        from repro.core.restricted import normalize_restriction
+
+        normalize_restriction(engine.dataset, competitors=competitors, dims=dims)
     validate_accuracy(epsilon, delta, samples)
     validate_robustness(
         deadline=deadline,

@@ -143,7 +143,12 @@ class DominanceCache:
     are impossible by construction.
 
     ``hits``/``misses`` count memo-table lookups (both tables) — they are
-    bookkeeping for benchmarks and tests, not part of the answer.
+    bookkeeping for benchmarks and tests, not part of the answer.  A
+    factor miss counts one lookup of the factor table plus one per
+    preference it reads; the tile pass's bulk read
+    (:meth:`_resolve_many`) makes no factor-table lookups and counts one
+    per preference its factor rows read — a miss when the model had to
+    answer, a hit otherwise.
 
     The cache is **thread-safe**: every lookup and mutation runs under one
     internal lock, taken once per call, so concurrent queries sharing one
@@ -306,6 +311,53 @@ class DominanceCache:
                 return value
             self._hits += 1
             return value
+
+    def _resolve_many(
+        self,
+        pairs: Sequence[Tuple[int, Value, Value]],
+        reads: Sequence[int],
+    ) -> Tuple[List[float], Dict[int, Exception]]:
+        """Many memoised ``prob_prefers`` lookups under one lock.
+
+        The tile pass's bulk read (:mod:`repro.core.preprocess`):
+        ``pairs`` are distinct ``(dimension, a, b)`` keys and ``reads[k]``
+        counts the factors that read ``pairs[k]``.  Each pair is resolved
+        as a factor miss resolves it — version check, memo read, a model
+        call on a miss — and its reads count as that many lookups: one
+        miss when the model answered it, hits for the rest.  Returns the
+        probabilities and, by position, the exception of each model call
+        that raised (its probability is NaN); such a call counts one miss
+        and stores nothing.
+        """
+        with self._lock:
+            if self._preferences.version != self._version:
+                self._validate()
+            prefers = self._prefers
+            resolved = list(map(prefers.get, pairs))
+            errors: Dict[int, Exception] = {}
+            hits = sum(reads)
+            misses = 0
+            # A warm tile finds every pair memoised: skip the scan then.
+            missing = (
+                [k for k, known in enumerate(resolved) if known is None]
+                if None in resolved
+                else []
+            )
+            for position in missing:
+                pair = pairs[position]
+                misses += 1
+                hits -= 1
+                try:
+                    probability = self._preferences.prob_prefers(*pair)
+                except Exception as error:
+                    errors[position] = error
+                    resolved[position] = float("nan")
+                    hits -= reads[position] - 1
+                    continue
+                prefers[pair] = resolved[position] = probability
+            self._hits += hits
+            self._misses += misses
+            return resolved, errors
 
     def dominance_factors(
         self, q: Sequence[Value], o: Sequence[Value]

@@ -64,6 +64,8 @@ from repro.core.exact import (
 from repro.core.engine import (
     SkylineProbabilityEngine,
     SkylineReport,
+    _check_count,
+    _check_det_kernel,
     _resolve_pool,
 )
 from repro.core.objects import Dataset, ObjectValues, Value, as_object
@@ -227,11 +229,7 @@ class DynamicSkylineEngine:
         fault_injector: object = None,
         det_kernel: str = DEFAULT_DET_KERNEL,
     ) -> None:
-        if det_kernel not in DET_KERNELS:
-            raise ReproError(
-                f"unknown det_kernel {det_kernel!r}; "
-                f"expected one of {DET_KERNELS}"
-            )
+        _check_det_kernel(det_kernel)
         self._engine = SkylineProbabilityEngine(
             dataset, preferences, max_exact_objects=max_exact_objects
         )
@@ -325,8 +323,7 @@ class DynamicSkylineEngine:
 
     def top_k(self, k: int) -> List[Tuple[int, float]]:
         """The ``k`` most probable skyline objects, from the warm view."""
-        if k <= 0:
-            raise ReproError(f"k must be positive, got {k!r}")
+        _check_count("k", k, minimum=1)
         ranked = sorted(
             ((index, view.probability) for index, view in enumerate(self._views)),
             key=lambda pair: (-pair[1], pair[0]),

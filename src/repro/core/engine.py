@@ -45,13 +45,20 @@ from repro.core.exact import (
     DEFAULT_DET_KERNEL,
     DEFAULT_MAX_OBJECTS,
     DET_KERNELS,
+    Component,
     ExactResult,
+    _component,
     _solve,
 )
 from repro.core.naive import skyline_probability_naive
 from repro.core.objects import Dataset, ObjectValues, Value, as_object
 from repro.core.preferences import PreferenceModel
-from repro.core.preprocess import PreprocessResult, preprocess
+from repro.core.preprocess import (
+    PreprocessResult,
+    _plan_tile,
+    _ValueCodes,
+    preprocess,
+)
 from repro.core.sampling import SamplingResult, skyline_probability_sampled
 from repro.errors import (
     ComputationBudgetError,
@@ -73,6 +80,26 @@ METHODS = ("det", "det+", "sam", "sam+", "naive", "auto")
 #: estimator and flags the report; ``"raise"`` surfaces
 #: :class:`~repro.errors.DeadlineExceededError` to the caller.
 DEADLINE_POLICIES = ("degrade", "raise")
+
+#: Fewest ``(target, competitor, dimension)`` cells the multi-target form
+#: plans through the tile pass; below it each target is planned alone.
+#: ``results/tile_planning.md`` times whole batch passes by chunk size: a
+#: tile of one target loses to the per-target pipeline at 189 and 476
+#: cells (1.20x and 1.05x its time), is about even at 378 (0.95x), and
+#: wins from 756 cells on (0.84-0.88x up to 952, 0.53-0.62x at 32 targets).
+_TILE_CROSSOVER = 512
+
+#: Most ``(target, competitor, dimension)`` cells one tile holds.  A tile
+#: keeps a few arrays of this many entries alive, so the bound caps the
+#: tile pass's memory the way ``exact_vec.SLICE_FLOATS`` caps a ``vec``
+#: slice.  The sweep in ``results/tile_planning.md`` (all-objects pass,
+#: n=200 d=4) has the traced peak flat up to 2^15 cells (41 targets per
+#: tile) and growing beyond (22 MB at 2^16, 30 MB at 2^17), while the
+#: pass time levels off there.
+_TILE_CELLS = 1 << 15
+
+#: The methods the tile pass plans (the rest have no exact components).
+_TILE_METHODS = frozenset({"det", "det+", "auto"})
 
 
 @dataclass(frozen=True)
@@ -132,7 +159,7 @@ class SkylineProbabilityEngine:
         Uncertain preferences covering the dataset's dimensionality.
     max_exact_objects:
         Largest dominance-event set Algorithm 1 may enumerate (per
-        partition for ``det+``/``auto``).
+        partition for ``det+``/``auto``): an integer of at least 0.
     """
 
     def __init__(
@@ -142,6 +169,7 @@ class SkylineProbabilityEngine:
         *,
         max_exact_objects: int = DEFAULT_MAX_OBJECTS,
     ) -> None:
+        _check_count("max_exact_objects", max_exact_objects, minimum=0)
         if preferences.dimensionality != dataset.dimensionality:
             raise DimensionalityError(
                 f"preference model covers {preferences.dimensionality} "
@@ -156,6 +184,7 @@ class SkylineProbabilityEngine:
         self._exact_cache: dict = {}
         self._memo_hits = 0
         self._memo_misses = 0
+        self._codes: _ValueCodes | None = None  # built by the first tile
 
     @property
     def dataset(self) -> Dataset:
@@ -284,7 +313,7 @@ class SkylineProbabilityEngine:
             return cached
         self._memo_misses += 1
         with query:
-            components: List[List[Sequence[DominanceFactor]]] = []
+            components: List[Component] = []
             self._plan(query, components)
             outcomes = self._exact(components, det_kernel, query.deadline_at)
             report = self._finish(query, outcomes)
@@ -302,28 +331,41 @@ class SkylineProbabilityEngine:
         """Answer many ``(target, seed)`` tasks through one exact call.
 
         The multi-target form of :meth:`skyline_probability`, with every
-        option but the seed shared.  Each target is planned (duplicate
-        rule, method dispatch, the ``det+`` budget error, component
-        lists), then one :func:`~repro.core.exact._solve` call evaluates
-        the exact components of all of them — ``"vec"`` components of
-        one key structure together — and each target is finished in
-        task order.  Every report equals the one
-        :meth:`skyline_probability` returns.
+        option but the seed shared.  Each task is opened (memo, duplicate
+        rule, method dispatch) in task order; the targets left are
+        planned (the ``det+`` budget error, the exact components), then
+        one :func:`~repro.core.exact._solve` call evaluates the exact
+        components of all of them — ``"vec"`` components of one key
+        structure together — and each target is finished in task order.
+        Every report equals the one :meth:`skyline_probability` returns.
+
+        ``det``/``det+``/``auto`` targets whose ``(target, competitor,
+        dimension)`` cells reach ``_TILE_CROSSOVER`` are planned by the
+        tile pass (:func:`~repro.core.preprocess._plan_tile`) in tiles of
+        at most ``_TILE_CELLS`` cells, each one ``preprocess`` obs stage
+        outside every query's scope: a tiled query's ``stage_seconds``
+        and cache deltas leave its tile out.  With fewer cells, and for
+        the other methods, each target is planned alone, as
+        :meth:`skyline_probability` plans it.
 
         Returns, per task, its report or the exception it raised; one
         failing task fails nothing else.  ``before(k)`` runs first in
         task ``k`` (a failpoint: what it raises is the task's answer).
         ``beat()`` is a supervisor's heartbeat, called before each task
-        is planned, in the exact call before each structure group and
-        before each task's components solved alone, and before each
-        target is finished; what it raises aborts the whole call.
-        ``stop_at_error`` plans no task after the first one that fails,
-        leaving their answers ``None``: for callers that raise the first
-        failure in task order.  The memo behaves as for one query after
-        another: a target repeated within the tasks is answered after
-        its first occurrence is finished, so it is a memo hit whenever
-        that answer is exact.  An armed ``deadline`` answers the tasks
-        one at a time, so each deadline starts with its own query.
+        is opened, before each tile, in the exact call before each
+        structure group and before each task's components solved alone,
+        and before each target is finished; what it raises aborts the
+        whole call.  ``stop_at_error`` plans no task after the first one
+        that fails, leaving their answers ``None``: for callers that
+        raise the first failure in task order.  Its tiles are planned
+        ahead of the tasks, so each target's planning outcome is known
+        when its turn comes and no failpoint after the first failure is
+        consulted.  The
+        memo behaves as for one query after another: a target repeated
+        within the tasks is answered after its first occurrence is
+        finished, so it is a memo hit whenever that answer is exact.  An
+        armed ``deadline`` answers the tasks one at a time, so each
+        deadline starts with its own query.
         """
         answers: List[object] = [None] * len(tasks)
 
@@ -353,12 +395,41 @@ class SkylineProbabilityEngine:
         planned: List[Tuple[int, _Query]] = []
         open_keys: set = set()
         repeats: List[int] = []
-        components: List[List[Sequence[DominanceFactor]]] = []
-        starts: List[int] = []  # where each task's components begin
+        components: List[Component] = []
+        starts: List[int] = []  # where each planned target's components begin
+
+        def plan(position: int, query: _Query, tiled: object = None) -> bool:
+            # `tiled` is the query's tile outcome: its error, or its
+            # preprocessing and components.
+            if isinstance(tiled, Exception):
+                answers[position] = tiled
+                return False
+            starts.append(len(components))
+            try:
+                with query:
+                    self._plan(query, components, tiled)
+            except Exception as error:
+                answers[position] = error
+                return False
+            planned.append((position, query))
+            return True
+
+        dataset = self._dataset
+        tiled = (
+            options["method"] in _TILE_METHODS
+            and options["cache"] is not None
+            and len(tasks) * len(dataset) * dataset.dimensionality
+            >= _TILE_CROSSOVER
+        )
+        ahead: Dict[int, object] = {}
+        if tiled and stop_at_error:
+            # Each planning failure must come out before the next task's
+            # failpoint, so the tiles are planned ahead of the tasks.
+            ahead = self._tile_outcomes(self._peek(tasks, options), beat)
+        deferred: List[Tuple[int, _Query]] = []
         for position, (target, seed) in enumerate(tasks):
             if beat is not None:
                 beat()
-            starts.append(len(components))
             try:
                 if before is not None:
                     before(position)
@@ -371,15 +442,22 @@ class SkylineProbabilityEngine:
                     answers[position] = cached
                     continue
                 self._memo_misses += 1
-                with query:
-                    self._plan(query, components)
             except Exception as error:
                 answers[position] = error
                 if stop_at_error:
                     break
                 continue
-            open_keys.add(query.key)
-            planned.append((position, query))
+            if tiled and not stop_at_error:
+                open_keys.add(query.key)
+                deferred.append((position, query))
+            elif plan(position, query, ahead.get(position)):
+                open_keys.add(query.key)
+            elif stop_at_error:
+                break
+        if deferred:
+            outcomes = self._tile_outcomes(deferred, beat)
+            for position, query in deferred:
+                plan(position, query, outcomes.get(position))
         beaten = None
 
         def solving(component: int | None) -> None:
@@ -411,6 +489,92 @@ class SkylineProbabilityEngine:
             alone(position)
         return answers
 
+    def _peek(
+        self, tasks: Sequence[Tuple[int | Sequence[Value], object]], options: dict
+    ) -> List[Tuple[int, "_Query"]]:
+        """The tasks that will need planning, opened without side effects.
+
+        Skips tasks that fail to open, memo hits and repeated targets;
+        the memo is only read, not counted.
+        """
+        queries: List[Tuple[int, _Query]] = []
+        keys = set()
+        for position, (target, seed) in enumerate(tasks):
+            try:
+                query = self._open(target, dict(options, seed=seed))
+            except Exception:
+                continue
+            if query.key not in keys and query.key not in self._exact_cache:
+                keys.add(query.key)
+                queries.append((position, query))
+        return queries
+
+    def _tile_outcomes(
+        self,
+        queries: List[Tuple[int, "_Query"]],
+        beat: Callable[[], None] | None,
+    ) -> Dict[int, object]:
+        """The tile pass's outcome for each query worth tiling, by position.
+
+        The queries' ``(target, competitor, dimension)`` cells decide:
+        below ``_TILE_CROSSOVER`` there are none (each target is planned
+        alone).  Otherwise every target with competitors and no duplicate
+        is planned by :func:`~repro.core.preprocess._plan_tile`, in tiles
+        of at most ``_TILE_CELLS`` cells, each after a ``beat()`` and as
+        one ``preprocess`` obs stage outside every query's scope.
+        """
+        dimensionality = self._dataset.dimensionality
+        cells = [
+            0 if query.duplicate else len(query.competitors) * dimensionality
+            for _, query in queries
+        ]
+        if sum(cells) < _TILE_CROSSOVER:
+            return {}
+        tiles: List[List[Tuple[int, _Query]]] = []
+        filled = 0
+        for entry, cost in zip(queries, cells):
+            if not cost:
+                continue
+            if not tiles or filled + cost > _TILE_CELLS:
+                tiles.append([])
+                filled = 0
+            tiles[-1].append(entry)
+            filled += cost
+        outcomes: Dict[int, object] = {}
+        for tile in tiles:
+            if beat is not None:
+                beat()
+            for (position, _), outcome in zip(tile, self._plan_tile(tile)):
+                outcomes[position] = outcome
+        return outcomes
+
+    def _plan_tile(self, tile: List[Tuple[int, "_Query"]]) -> List[object]:
+        """The tile pass's outcome for each query of ``tile``."""
+        options = tile[0][1].options
+        restriction = tile[0][1].restriction
+        pool: Sequence[int] = range(len(self._dataset))
+        dims = None
+        if restriction is not None:
+            if restriction.competitors is not None:
+                pool = restriction.competitors
+            dims = restriction.dims
+        if self._codes is None:
+            self._codes = _ValueCodes(
+                self._dataset.objects, self._dataset.dimensionality
+            )
+        with obs.stage("preprocess"):
+            return _plan_tile(
+                self._codes,
+                [(query.target, query.own) for _, query in tile],
+                pool,
+                dims,
+                options["cache"],
+                method=options["method"],
+                use_absorption=options["use_absorption"],
+                use_partition=options["use_partition"],
+                max_exact=self._max_exact_objects,
+            )
+
     def _open(self, target: int | Sequence[Value], options: dict) -> "_Query":
         """Resolve and validate one query; its memo key names the answer."""
         restriction = None
@@ -428,7 +592,7 @@ class SkylineProbabilityEngine:
             )
             if restriction.is_full:
                 restriction = None  # the full query, just spelled out
-        target_values, pool, _ = _resolve_pool(
+        target_values, pool, own = _resolve_pool(
             self._dataset, target, restriction
         )
         objects = self._dataset.objects
@@ -448,11 +612,7 @@ class SkylineProbabilityEngine:
             raise ReproError(
                 f"unknown method {method!r}; expected one of {METHODS}"
             )
-        if options["det_kernel"] not in DET_KERNELS:
-            raise ReproError(
-                f"unknown det_kernel {options['det_kernel']!r}; "
-                f"expected one of {DET_KERNELS}"
-            )
+        _check_det_kernel(options["det_kernel"])
         validate_accuracy(options["epsilon"], options["delta"], options["samples"])
         validate_robustness(
             deadline=options["deadline"], max_overrun=options["max_overrun"]
@@ -480,7 +640,9 @@ class SkylineProbabilityEngine:
             None if restriction is None else restriction.key,
             self._preferences.version,
         )
-        return _Query(key, options, target_values, competitors, duplicate)
+        return _Query(
+            key, options, target_values, competitors, duplicate, own, restriction
+        )
 
     def _memoised(self, query: "_Query") -> SkylineReport | None:
         """The memoised answer to ``query``, counted as a hit, or ``None``."""
@@ -498,33 +660,53 @@ class SkylineProbabilityEngine:
     def _plan(
         self,
         query: "_Query",
-        components: List[List[Sequence[DominanceFactor]]],
+        components: List[Component],
+        tiled: Tuple[PreprocessResult | None, List[Component | None]] | None = None,
     ) -> None:
-        """Plan ``query``, appending its exact components to ``components``."""
+        """Plan ``query``, appending its exact components to ``components``.
+
+        ``tiled`` is the tile pass's ``(prep, components)`` for the query,
+        which then stand in for its own preprocessing and factor lists.
+        """
         options = query.options
         deadline = options["deadline"]
         query.deadline_at = (
             None if deadline is None else time.monotonic() + deadline
         )
         cache = options["cache"]
-        factors_of = factor_source(self._preferences, cache)
         competitors = query.competitors
         target_values = query.target
+        if tiled is None:
+            factors_of = factor_source(self._preferences, cache)
+            forms = None
+
+            def prepare() -> PreprocessResult:
+                return preprocess(
+                    competitors,
+                    target_values,
+                    preferences=self._preferences,
+                    use_absorption=options["use_absorption"],
+                    use_partition=options["use_partition"],
+                    cache=cache,
+                )
+
+        else:
+            factors_of = None
+            prep, forms = tiled
+
+            def prepare() -> PreprocessResult:
+                return prep
+
         query.plan = _plan_target(
             self._preferences,
             options["method"],
             target_values,
             len(competitors),
-            lambda position: factors_of(competitors[position], target_values),
+            None
+            if factors_of is None
+            else lambda position: factors_of(competitors[position], target_values),
             competitors.__getitem__,
-            lambda: preprocess(
-                competitors,
-                target_values,
-                preferences=self._preferences,
-                use_absorption=options["use_absorption"],
-                use_partition=options["use_partition"],
-                cache=cache,
-            ),
+            prepare,
             components,
             duplicate=query.duplicate,
             max_exact=self._max_exact_objects,
@@ -534,11 +716,12 @@ class SkylineProbabilityEngine:
             samples=options["samples"],
             seed=options["seed"],
             cache=cache,
+            forms=forms,
         )
 
     def _exact(
         self,
-        components: List[List[Sequence[DominanceFactor]]],
+        components: List[Component],
         det_kernel: str,
         deadline_at: float | None = None,
         progress: Callable[[int | None], None] | None = None,
@@ -789,13 +972,36 @@ class SkylineProbabilityEngine:
         :mod:`repro.core.topk` for the shared-world estimator that scales
         this to large datasets.
         """
-        if k <= 0:
-            raise ReproError(f"k must be positive, got {k!r}")
+        _check_count("k", k, minimum=1)
         probabilities = self.skyline_probabilities(method=method, **query_options)
         ranked = sorted(
             enumerate(probabilities), key=lambda pair: (-pair[1], pair[0])
         )
         return ranked[: min(k, len(ranked))]
+
+
+def _check_det_kernel(det_kernel: object) -> None:
+    """Reject a ``det_kernel`` outside :data:`~repro.core.exact.DET_KERNELS`."""
+    if det_kernel not in DET_KERNELS:
+        raise ReproError(
+            f"unknown det_kernel {det_kernel!r}; expected one of {DET_KERNELS}"
+        )
+
+
+def _check_count(name: str, value: object, *, minimum: int) -> None:
+    """Reject ``value`` unless it is an integer of at least ``minimum``.
+
+    ``bool`` is refused although it subclasses ``int``: ``True`` is no
+    count.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < minimum
+    ):
+        raise ReproError(
+            f"{name} must be an integer of at least {minimum}, got {value!r}"
+        )
 
 
 def _resolve_index(dataset: Dataset, index: object) -> int:
@@ -872,7 +1078,10 @@ class _Query:
     planning, its finishing; a single query's exact call too): the
     stretch runs inside the query's obs scope and ``query`` stage, and
     its wall time and dominance-cache traffic add to the query's stats.
-    A chunk's exact call runs outside every query's stretches.
+    A chunk's tiles and exact call run outside every query's stretches.
+    ``own`` is the target's dataset index (``None`` for an external
+    object) and ``restriction`` the normalised restriction (``None``
+    for a full query): what the tile pass needs to find the pool.
     """
 
     key: tuple
@@ -880,6 +1089,8 @@ class _Query:
     target: ObjectValues
     competitors: List[ObjectValues]
     duplicate: bool
+    own: int | None = None
+    restriction: object = None
     deadline_at: float | None = None
     plan: object = None
     collect: bool = field(default_factory=obs.is_enabled)
@@ -976,7 +1187,7 @@ def _solve_target(
     components, finish (:func:`_finish_target`).  The engine runs the
     same steps around its own exact call, for one target or many.
     """
-    components: List[List[Sequence[DominanceFactor]]] = []
+    components: List[Component] = []
     plan = _plan_target(
         preferences, method, target, count, factors_of, objects_of, prepare,
         components, duplicate=duplicate, max_exact=max_exact,
@@ -996,10 +1207,10 @@ def _plan_target(
     method: str,
     target: ObjectValues,
     count: int,
-    factors_of: Callable[[int], Sequence[DominanceFactor]],
+    factors_of: Callable[[int], Sequence[DominanceFactor]] | None,
     objects_of: Callable[[int], ObjectValues],
     prepare: Callable[[], PreprocessResult],
-    components: List[List[Sequence[DominanceFactor]]],
+    components: List[Component],
     *,
     duplicate: bool,
     max_exact: int,
@@ -1010,6 +1221,7 @@ def _plan_target(
     seed: object,
     cache: DominanceCache | None,
     memo: _ComponentMemo | None = None,
+    forms: Sequence[Component | None] | None = None,
 ) -> SkylineReport | _TargetPlan:
     """Plan ``sky(target)``: a finished report, or what finishing needs.
 
@@ -1023,9 +1235,11 @@ def _plan_target(
     ``det`` solves the whole pool as one component.  ``det+``/``auto``
     plan one step per Theorem-4 component: components within
     ``max_exact`` go to Algorithm 1 — served by ``memo`` when it holds
-    them, else appended to ``components`` for the exact call — and
-    oversized ones either fail here (``det+``) or are sampled when the
-    target is finished.
+    them, else appended to ``components`` for the exact call in their
+    :class:`~repro.core.exact.Component` form — and oversized ones
+    either fail here (``det+``) or are sampled when the target is
+    finished.  ``forms`` holds the tile pass's components, one per
+    partition (``det``: the one); given them, ``factors_of`` is unused.
     """
     if duplicate:
         return SkylineReport(0.0, method, True, duplicate_target=True)
@@ -1037,7 +1251,10 @@ def _plan_target(
     if method == "det":
         # The whole pool in one evaluation: counted, never memoised.
         steps = [len(components)]
-        components.append([factors_of(p) for p in range(count)])
+        if forms is None:
+            components.append(_component([factors_of(p) for p in range(count)]))
+        else:
+            components.append(forms[0])
         return _TargetPlan("det", None, steps, memo, {}, seed, None)
     prep = None if method == "sam" else prepare()
     if method in ("sam", "sam+"):
@@ -1069,9 +1286,13 @@ def _plan_target(
         )
     steps: List[object] = []
     keys: Dict[int, object] = {}
-    for part in prep.partitions:
+    for number, part in enumerate(prep.partitions):
         if len(part) > max_exact:
             steps.append(part)
+            continue
+        if forms is not None:
+            steps.append(len(components))
+            components.append(forms[number])
             continue
         factor_lists = [factors_of(member) for member in part]
         if memo is not None:
@@ -1082,7 +1303,7 @@ def _plan_target(
                 continue
             keys[len(components)] = key
         steps.append(len(components))
-        components.append(factor_lists)
+        components.append(_component(factor_lists))
 
     def sample(part: Sequence[int], share: int, rng: object) -> SamplingResult:
         return skyline_probability_sampled(

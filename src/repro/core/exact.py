@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import repro.obs as obs
 from repro.core.dominance import DominanceCache, DominanceFactor, factor_source
@@ -137,16 +137,50 @@ class ExactResult:
     objects_used: int
 
 
-def _keep_dominators(
+#: Per-object key ids of one component, numbered in first-seen order.
+Structure = Tuple[Tuple[int, ...], ...]
+
+
+class Component(NamedTuple):
+    """One component in the form the kernels evaluate.
+
+    ``structure[t]`` holds dominator ``t``'s ``(dimension, value)`` key
+    ids, numbered densely in first-seen order (dominator after
+    dominator, dimension order within one); ``row`` holds their factors
+    in the same order, flat.  Components of one structure differ only
+    in their rows, which is what lets ``"vec"`` evaluate them together.
+    """
+
+    structure: Structure
+    row: Tuple[float, ...]
+
+
+def _structure(factor_lists: Iterable[Sequence[DominanceFactor]]) -> Component:
+    """The component form of ``factor_lists``, every list kept."""
+    key_ids: Dict[Tuple[int, Value], int] = {}
+    structure = []
+    row: List[float] = []
+    for factors in factor_lists:
+        ids = []
+        for dimension, value, factor in factors:
+            ids.append(key_ids.setdefault((dimension, value), len(key_ids)))
+            row.append(factor)
+        structure.append(tuple(ids))
+    return Component(tuple(structure), tuple(row))
+
+
+def _component(
     factor_lists: Iterable[Sequence[DominanceFactor]],
-) -> List[Sequence[DominanceFactor]] | None:
-    """The factor lists of competitors that can dominate the target at all.
+) -> Component | None:
+    """The component form of the competitors that can dominate at all.
 
     Returns ``None`` at the first empty list: that competitor duplicates
     the target, so it dominates with probability 1 and ``sky = 0`` (the
     rest of a lazy ``factor_lists`` is then never computed).  Competitors
-    with any zero factor are dropped: every subset containing them has
-    ``Pr(E_I) = 0``.
+    with any zero factor are dropped before keys are numbered: every
+    subset containing them has ``Pr(E_I) = 0``.  The one conversion from
+    factor lists; the tile pass (:mod:`repro.core.preprocess`) builds the
+    same form from value codes.
     """
     kept: List[Sequence[DominanceFactor]] = []
     for factors in factor_lists:
@@ -155,7 +189,28 @@ def _keep_dominators(
         if any(probability == 0.0 for _, _, probability in factors):
             continue
         kept.append(factors)
-    return kept
+    return _structure(kept)
+
+
+def _pairs(
+    component: Component | Iterable[Sequence[DominanceFactor]],
+) -> Tuple[Structure, List[Tuple[Tuple[int, float], ...]], int]:
+    """A component's structure, per object its ``(id, factor)`` pairs, and
+    a bound on its key ids (the factor count; ids are first-seen dense).
+
+    Factor lists (direct kernel callers) are numbered by
+    :func:`_structure` first, every list kept.
+    """
+    if not isinstance(component, Component):
+        component = _structure(component)
+    structure, row = component
+    pairs = []
+    start = 0
+    for ids in structure:
+        end = start + len(ids)
+        pairs.append(tuple(zip(ids, row[start:end])))
+        start = end
+    return structure, pairs, len(row)
 
 
 def _clamp_probability(value: float) -> float:
@@ -263,17 +318,17 @@ def det_from_factor_lists(
 
 
 def _solve_one(
-    factor_lists: Iterable[Sequence[DominanceFactor]], **options: object
+    component: Component | Iterable[Sequence[DominanceFactor]], **options: object
 ) -> ExactResult:
     """The one-component case of :func:`_solve`: its result, or its error."""
-    (outcome,) = _solve((factor_lists,), **options)
+    (outcome,) = _solve((component,), **options)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
 def _solve(
-    components: Iterable[Iterable[Sequence[DominanceFactor]]],
+    components: Iterable[Component | Iterable[Sequence[DominanceFactor]]],
     *,
     max_objects: int,
     kernel: str,
@@ -282,16 +337,19 @@ def _solve(
     share_computation: bool = True,
     progress: Callable[[int | None], None] | None = None,
 ) -> List[ExactResult | Exception]:
-    """Filter, guard, route and solve many components; one outcome each.
+    """Guard, route and solve many components; one outcome each.
 
-    The kernel rule lives here, once, and applies to each component
-    alone.  ``"auto"`` is resolved from the post-filter dominator count
-    ``n``, so it is a pure function of the component: ``"vec"`` for
-    ``VEC_CROSSOVER <= n <= VEC_MAX_OBJECTS``, ``"fast"`` otherwise.  A
-    set ``max_terms`` needs per-term accounting, which only
-    ``"reference"`` has; an armed deadline turns ``"fast"`` into the
-    bit-identical ``"reference"`` (which checks it every 1024 terms),
-    while ``"vec"`` checks it natively between doubling levels.
+    A component is a :class:`Component`, ``None`` (a duplicate
+    competitor: ``sky = 0``) or the factor lists :func:`_component`
+    converts, lazily and after the deadline check.  The kernel rule
+    lives here, once, and applies to each component alone.  ``"auto"``
+    is resolved from the dominator count ``n``, so it is a pure function
+    of the component: ``"vec"`` for ``VEC_CROSSOVER <= n <=
+    VEC_MAX_OBJECTS``, ``"fast"`` otherwise.  A set ``max_terms`` needs
+    per-term accounting, which only ``"reference"`` has; an armed
+    deadline turns ``"fast"`` into the bit-identical ``"reference"``
+    (which checks it every 1024 terms), while ``"vec"`` checks it
+    natively between doubling levels.
 
     Recursive-kernel components are solved one at a time, as they come.
     ``"vec"`` components are grouped by key structure and each group is
@@ -311,15 +369,15 @@ def _solve(
             f"unknown kernel {kernel!r}; expected one of {DET_KERNELS}"
         )
     outcomes: List[ExactResult | Exception | None] = []
-    groups: Dict[Tuple[Tuple[int, ...], ...], List[Tuple[int, tuple]]] = {}
-    structure_of = None
-    for factor_lists in components:
+    groups: Dict[Structure, List[Tuple[int, Tuple[float, ...]]]] = {}
+    for component in components:
         position = len(outcomes)
         outcomes.append(None)
         try:
             _check_deadline(deadline_at, 0)
-            kept = _keep_dominators(factor_lists)
-            if kept is None:
+            if component is not None and not isinstance(component, Component):
+                component = _component(component)
+            if component is None:
                 # Duplicate convention: an equal competitor dominates with
                 # probability 1, so sky = 0 and *no* object survives the
                 # filter to take part in any enumeration — objects_used is 0.
@@ -329,7 +387,7 @@ def _solve(
                 )
                 outcomes[position] = ExactResult(0.0, 0, 0)
                 continue
-            n = len(kept)
+            n = len(component.structure)
             if n > max_objects:
                 raise ComputationBudgetError(
                     f"exact enumeration over {n} dominance events needs up to "
@@ -346,33 +404,34 @@ def _solve(
         else:
             routed = kernel
         if routed == "vec" and max_terms is None and share_computation:
-            if structure_of is None:
-                # Imported lazily: exact_vec imports this module for the
-                # shared helpers, so a top-level import would be circular.
-                from repro.core.exact_vec import _structure as structure_of
-            structure, row = structure_of(kept)
-            groups.setdefault(structure, []).append((position, row))
+            groups.setdefault(component.structure, []).append(
+                (position, component.row)
+            )
             continue
         if progress is not None:
             progress(position)
         try:
             with obs.stage("exact"):
                 if not share_computation:
-                    result = _det_without_sharing(kept, max_terms, deadline_at)
+                    result = _det_without_sharing(component, max_terms, deadline_at)
                 elif (
                     routed != "fast"
                     or max_terms is not None
                     or deadline_at is not None
                 ):
-                    result = _det_shared_reference(kept, max_terms, deadline_at)
+                    result = _det_shared_reference(
+                        component, max_terms, deadline_at
+                    )
                 else:
-                    result = _det_shared_fast(kept)
+                    result = _det_shared_fast(component)
         except Exception as error:
             outcomes[position] = error
             continue
         outcomes[position] = result
         _record_exact(result)
     if groups:
+        # Imported lazily: exact_vec imports this module for the shared
+        # helpers, so a top-level import would be circular.
         from repro.core.exact_vec import det_shared_vec_rows
 
         for structure, members in groups.items():
@@ -410,31 +469,8 @@ def _record_exact(result: ExactResult) -> None:
     ).inc()
 
 
-def _index_factors(
-    factor_lists: List[Sequence[DominanceFactor]],
-) -> Tuple[List[Tuple[Tuple[int, ...], Tuple[float, ...]]], int]:
-    """Dense integer ids for the distinct ``(dimension, value)`` keys.
-
-    The hot traversals then keep their reference counts in a plain list
-    (the dict version profiles ~2x slower on large partition workloads).
-    Returns the per-object ``(ids, probs)`` pairs plus the key count.
-    """
-    key_ids: Dict[Tuple[int, Value], int] = {}
-    object_factors: List[Tuple[Tuple[int, ...], Tuple[float, ...]]] = []
-    for factors in factor_lists:
-        ids = []
-        probs = []
-        for dimension, value, factor in factors:
-            key = (dimension, value)
-            identifier = key_ids.setdefault(key, len(key_ids))
-            ids.append(identifier)
-            probs.append(factor)
-        object_factors.append((tuple(ids), tuple(probs)))
-    return object_factors, len(key_ids)
-
-
 def _det_shared_reference(
-    factor_lists: List[Sequence[DominanceFactor]],
+    component: Component | Sequence[Sequence[DominanceFactor]],
     max_terms: int | None,
     deadline_at: float | None = None,
 ) -> ExactResult:
@@ -442,11 +478,13 @@ def _det_shared_reference(
 
     This is the baseline the fast kernel is differentially tested against
     and the "seed serial loop" timed by the batch benchmark; it also hosts
-    the ``max_terms`` budget guard, which needs per-term accounting.
+    the ``max_terms`` budget guard, which needs per-term accounting.  The
+    key ids let the traversal keep its reference counts in a plain list
+    (a dict keyed on ``(dimension, value)`` profiles ~2x slower).
     """
-    n = len(factor_lists)
-    object_factors, key_count = _index_factors(factor_lists)
-    counts = [0] * key_count
+    object_ids, object_pairs, keys = _pairs(component)
+    n = len(object_ids)
+    counts = [0] * keys
     # `total` accumulates Σ_{I≠∅} (-1)^{|I|} Pr(E_I); sky = 1 + total.
     total = 0.0
     terms = 0
@@ -461,16 +499,15 @@ def _det_shared_reference(
                 )
             if terms & _DEADLINE_CHECK_MASK == 0:
                 _check_deadline(deadline_at, terms)
-            ids, probs = object_factors[i]
             extended = probability
-            for identifier, factor in zip(ids, probs):
+            for identifier, factor in object_pairs[i]:
                 if counts[identifier] == 0:
                     extended *= factor
                 counts[identifier] += 1
             total += sign * extended
             if extended > 0.0:
                 visit(i + 1, extended, -sign)
-            for identifier in ids:
+            for identifier in object_ids[i]:
                 counts[identifier] -= 1
 
     visit(0, 1.0, -1.0)
@@ -478,7 +515,7 @@ def _det_shared_reference(
 
 
 def _det_shared_fast(
-    factor_lists: List[Sequence[DominanceFactor]],
+    component: Component | Sequence[Sequence[DominanceFactor]],
 ) -> ExactResult:
     """Interpreter-lean twin of :func:`_det_shared_reference`.
 
@@ -490,13 +527,11 @@ def _det_shared_fast(
     derived analytically from the zero-pruned subtree sizes instead of a
     per-term counter.
     """
-    n = len(factor_lists)
+    object_ids, object_pairs, keys = _pairs(component)
+    n = len(object_ids)
     if n == 0:
         return ExactResult(1.0, 0, 0)
-    object_factors, key_count = _index_factors(factor_lists)
-    object_pairs = [tuple(zip(ids, probs)) for ids, probs in object_factors]
-    object_ids = [ids for ids, _ in object_factors]
-    counts = [0] * key_count
+    counts = [0] * keys
     total = 0.0
     pruned = 0
     last = n - 1
@@ -580,7 +615,7 @@ def _det_shared_fast(
 
 
 def _det_without_sharing(
-    factor_lists: List[List[DominanceFactor]],
+    component: Component | Sequence[Sequence[DominanceFactor]],
     max_terms: int | None,
     deadline_at: float | None = None,
 ) -> ExactResult:
@@ -589,7 +624,8 @@ def _det_without_sharing(
     Each ``Pr(E_I)`` is recomputed from all of its objects' factors, i.e.
     ``O(d·|I|)`` per term instead of the shared ``O(d)``.
     """
-    n = len(factor_lists)
+    _, object_pairs, _ = _pairs(component)
+    n = len(object_pairs)
     total = 0.0
     terms = 0
     stack: List[Tuple[int, Tuple[int, ...]]] = [(0, ())]
@@ -607,10 +643,9 @@ def _det_without_sharing(
             seen: set = set()
             probability = 1.0
             for member in subset:
-                for dimension, value, factor in factor_lists[member]:
-                    key = (dimension, value)
-                    if key not in seen:
-                        seen.add(key)
+                for identifier, factor in object_pairs[member]:
+                    if identifier not in seen:
+                        seen.add(identifier)
                         probability *= factor
             total += (-1.0 if len(subset) % 2 else 1.0) * probability
             if probability > 0.0:
@@ -651,37 +686,34 @@ def _layer_sums(
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
     factors_of = factor_source(preferences)
-    factor_lists = _keep_dominators(factors_of(q, target) for q in competitors)
-    if factor_lists is None:
+    component = _component(factors_of(q, target) for q in competitors)
+    if component is None:
         raise ComputationBudgetError(
             "a competitor duplicates the target; sky(target) is 0 and "
             "layer sums are not meaningful"
         )
-    n = len(factor_lists)
+    object_ids, object_pairs, keys = _pairs(component)
+    n = len(object_ids)
     if n > max_objects and max_size >= n:
         raise ComputationBudgetError(
             f"full enumeration over {n} events exceeds max_objects={max_objects}"
         )
     depth = min(max_size, n)
     sums = [0.0] * (depth + 1)  # sums[k] = T_k; index 0 unused
-    counts: Dict[Tuple[int, Value], int] = {}
+    counts = [0] * keys
 
     def visit(start: int, probability: float, size: int) -> None:
         for i in range(start, n):
             extended = probability
-            added = []
-            for dimension, value, factor in factor_lists[i]:
-                key = (dimension, value)
-                present = counts.get(key, 0)
-                if present == 0:
+            for identifier, factor in object_pairs[i]:
+                if counts[identifier] == 0:
                     extended *= factor
-                counts[key] = present + 1
-                added.append(key)
+                counts[identifier] += 1
             sums[size + 1] += extended
             if size + 1 < depth and extended > 0.0:
                 visit(i + 1, extended, size + 1)
-            for key in added:
-                counts[key] -= 1
+            for identifier in object_ids[i]:
+                counts[identifier] -= 1
 
     visit(0, 1.0, 0)
     return sums[1:], n

@@ -37,8 +37,8 @@ of memory.
 Rows of one structure
 ---------------------
 The masks above depend only on the component's *structure*: the
-per-object key-id tuples :func:`~repro.core.exact._index_factors` builds
-(:func:`_structure` numbers keys the same way).
+per-object key-id tuples of its :class:`~repro.core.exact.Component`
+form.
 Only the factor values differ between components of one structure, and
 an all-objects pass meets the same structures again and again (its
 targets see the same competitor blocks).  :func:`det_shared_vec_rows`
@@ -93,8 +93,10 @@ from repro.core.dominance import DominanceFactor
 from repro.core.exact import (
     VEC_MAX_OBJECTS,
     ExactResult,
+    Structure,
     _check_deadline,
     _clamp_probability,
+    _structure,
 )
 from repro.errors import ComputationBudgetError
 
@@ -104,9 +106,6 @@ __all__ = ["VEC_MAX_OBJECTS", "det_shared_vec", "det_shared_vec_rows"]
 #: per-call cost, few enough to stay cache-resident.  A component larger
 #: than a slice runs alone.
 SLICE_FLOATS = 1 << 18
-
-#: Per-object key ids of one component (its structure).
-Structure = Tuple[Tuple[int, ...], ...]
 
 
 def det_shared_vec(
@@ -132,9 +131,9 @@ def det_shared_vec_rows(
     """Evaluate every component of one key structure, one result per row.
 
     ``structure[t]`` holds object ``t``'s key ids and a row holds a
-    component's factors in the same order, object after object, as
-    :func:`_structure` builds them.  Each result is bit-identical to
-    evaluating its row alone.
+    component's factors in the same order, object after object: the
+    :class:`~repro.core.exact.Component` form.  Each result is
+    bit-identical to evaluating its row alone.
     """
     n = len(structure)
     _check_size(n)
@@ -159,26 +158,6 @@ def det_shared_vec_rows(
                 terms = _visited_terms(row, n)
             results.append(ExactResult(probability, terms, n))
     return results
-
-
-def _structure(
-    factor_lists: Sequence[Sequence[DominanceFactor]],
-) -> Tuple[Structure, Tuple[float, ...]]:
-    """A component's key structure and its row of factors.
-
-    Keys get dense ids in first-seen order, exactly as
-    :func:`~repro.core.exact._index_factors` assigns them.
-    """
-    key_ids: dict = {}
-    structure = []
-    row = []
-    for factors in factor_lists:
-        ids = []
-        for dimension, value, factor in factors:
-            ids.append(key_ids.setdefault((dimension, value), len(key_ids)))
-            row.append(factor)
-        structure.append(tuple(ids))
-    return tuple(structure), tuple(row)
 
 
 def _check_size(n: int) -> None:

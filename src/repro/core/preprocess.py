@@ -22,6 +22,12 @@ answer*:
 A third, probability-aware filter is included: a competitor with a zero
 preference factor can never dominate (``Pr(e_i) = 0``) and may be dropped
 before partitioning, which also stops it from gluing components together.
+
+:func:`preprocess` runs the pipeline for one target.  :func:`_plan_tile`
+runs it for many targets of one batch chunk at once, as NumPy passes
+over integer value codes (:class:`_ValueCodes`), and also builds each
+exact component in the :class:`~repro.core.exact.Component` form the
+kernels evaluate; its results equal the per-target pipeline's exactly.
 """
 
 from __future__ import annotations
@@ -31,8 +37,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 import repro.obs as obs
 from repro.core.dominance import DominanceCache, DominanceFactor, factor_source
+from repro.core.exact import Component
 from repro.core.objects import ObjectValues, Value, as_object
 from repro.core.preferences import PreferenceModel
 from repro.errors import DatasetError, DimensionalityError
@@ -409,3 +418,436 @@ def _record_preprocess(result: PreprocessResult) -> None:
         "repro_preprocess_partitions_total",
         "Value-disjoint components produced by partitioning (Theorem 4).",
     ).inc(len(result.partitions))
+
+
+class _ValueCodes:
+    """A dataset's values as integer codes, one code space per dimension.
+
+    ``codes[i, j]`` is object ``i``'s code on dimension ``j`` and
+    ``values[j][code]`` the value it stands for.  Equal values share a
+    code, so comparing codes compares values as ``!=`` does.
+    """
+
+    __slots__ = ("codes", "values", "index")
+
+    def __init__(self, objects: Sequence[ObjectValues], dimensionality: int) -> None:
+        self.index: List[Dict[Value, int]] = [{} for _ in range(dimensionality)]
+        self.values: List[List[Value]] = [[] for _ in range(dimensionality)]
+        rows = []
+        for values in objects:
+            row = []
+            for index, known, value in zip(self.index, self.values, values):
+                code = index.get(value)
+                if code is None:
+                    code = index[value] = len(known)
+                    known.append(value)
+                row.append(code)
+            rows.append(row)
+        self.codes = np.array(rows, dtype=np.int64).reshape(-1, dimensionality)
+
+    def encode(
+        self, targets: Sequence[Tuple[ObjectValues, int | None]]
+    ) -> Tuple[np.ndarray, List[List[Value]]]:
+        """The targets' codes, and the values of every code they use.
+
+        An index target takes its object's codes.  A value only external
+        targets hold gets a fresh code past the dataset's, in a copy of
+        :attr:`values`; no competitor holds it.
+        """
+        codes = np.empty((len(targets), self.codes.shape[1]), dtype=np.int64)
+        values = self.values
+        fresh: List[Dict[Value, int]] | None = None
+        for t, (target, index) in enumerate(targets):
+            if index is not None:
+                codes[t] = self.codes[index]
+                continue
+            for j, value in enumerate(target):
+                code = self.index[j].get(value)
+                if code is None:
+                    if fresh is None:
+                        values = [list(known) for known in values]
+                        fresh = [{} for _ in values]
+                    code = fresh[j].get(value)
+                    if code is None:
+                        code = fresh[j][value] = len(values[j])
+                        values[j].append(value)
+                codes[t, j] = code
+        return codes, values
+
+
+def _dense_ids(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """One int64 per row of the non-negative int ``columns``: equal rows
+    get equal ids, and ids grow with the rows' lexicographic order."""
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for column in columns:
+        span = int(column.max()) + 1 if len(column) else 1
+        if len(key) and (int(key.max()) + 1) * span >= 1 << 62:
+            key = np.unique(key, return_inverse=True)[1].reshape(-1)
+        key = key * span + column
+    return key
+
+
+def _roots(size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Connected components of the edges ``u[k] -- v[k]`` over ``range(size)``.
+
+    Returns each node's root, the smallest node of its component: a
+    flat-array union-find that hooks every root onto the smallest root
+    it touches, then compresses paths fully, until no edge spans two
+    components.
+    """
+    parent = np.arange(size)
+    while len(u):
+        pu, pv = parent[u], parent[v]
+        live = pu != pv
+        u, v, pu, pv = u[live], v[live], pu[live], pv[live]
+        if not len(u):
+            break
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    return parent
+
+
+def _absorbers(
+    diff: np.ndarray, valid: np.ndarray, pool_codes: np.ndarray
+) -> np.ndarray:
+    """Each (target, pool entry) item's first absorber, flat; ``size`` if none.
+
+    Reproduces :func:`absorb_keys` on every target of the tile.  Its
+    scans run in position order and each removes the alive competitors
+    whose ``Γ`` contains the scanner's, so a competitor ``c`` is first
+    removed by the smallest position ``s != c`` that is alive when it
+    scans and has ``Γ(s) ⊆ Γ(c)``.  A scanner is alive then exactly when
+    no earlier position's ``Γ`` is contained in its own (an absorbed
+    absorber hands its removal on to its own absorber, which is
+    earlier).  Only competitors narrower than the widest ``Γ``, or with
+    a copy of their ``Γ``, can contain another's ``Γ``.  Scanners with
+    one ``Γ`` are copies, so only the first two of them matter: the
+    first may absorb, and the second is what contains the first's.
+    ``Γ(s) ⊆ Γ(c)`` holds exactly when ``c`` shares ``s``'s values on
+    ``s``'s differing dimensions, so each ``Γ`` is matched against the
+    pool entries with those values.
+    """
+    count, pool, dimensionality = diff.shape
+    size = count * pool
+    flat_diff = diff.reshape(size, dimensionality)
+    flat_valid = valid.reshape(size)
+    width = diff.sum(axis=2)
+    rows = np.arange(size)
+    gamma = _dense_ids(
+        [rows // pool]
+        + [
+            np.where(flat_diff[:, j], pool_codes[rows % pool, j] + 1, 0)
+            for j in range(dimensionality)
+        ]
+    )
+    _, copy_of, copies = np.unique(gamma, return_inverse=True, return_counts=True)
+    narrow = width < width.max(axis=1, initial=0)[:, None]
+    scanner = flat_valid & (width.reshape(size) > 0) & (
+        narrow.reshape(size) | (copies[copy_of.reshape(-1)] > 1)
+    )
+    absorber = np.full(size, size)
+    if not scanner.any():
+        return absorber
+    scanners = np.flatnonzero(scanner)
+    masks, mask_of = np.unique(flat_diff[scanners], axis=0, return_inverse=True)
+    mask_of = mask_of.reshape(-1)
+    coverers, covered = [], []
+    for m, mask in enumerate(masks):
+        group = scanners[mask_of == m]
+        projection = _dense_ids([pool_codes[:, j] for j in np.flatnonzero(mask)])
+        key = group // pool * (int(projection.max()) + 1) + projection[group % pool]
+        # `group` ascends, so a stable sort leaves each Γ's copies in
+        # position order.
+        order = np.argsort(key, kind="stable")
+        key, group = key[order], group[order]
+        head = np.ones(len(key), dtype=bool)
+        head[1:] = key[1:] != key[:-1]
+        head = np.flatnonzero(head)
+        first = group[head]
+        paired = head[(head + 1 < len(key))]
+        paired = paired[key[paired + 1] == key[paired]]
+        coverers.append(group[paired + 1])
+        covered.append(group[paired])
+        # Every valid pool entry holding the first copy's values.
+        ranked = np.argsort(projection, kind="stable")
+        value = projection[first % pool]
+        low = np.searchsorted(projection[ranked], value, "left")
+        spans = np.searchsorted(projection[ranked], value, "right") - low
+        source = np.repeat(first, spans)
+        entries = np.repeat(low - (np.cumsum(spans) - spans), spans)
+        target = ranked[entries + np.arange(len(entries))]
+        target += source // pool * pool
+        keep = (target != source) & flat_valid[target]
+        coverers.append(source[keep])
+        covered.append(target[keep])
+    coverers, covered = np.concatenate(coverers), np.concatenate(covered)
+    first_cover = np.full(size, size)
+    np.minimum.at(first_cover, covered, coverers)
+    alive = scanner & (first_cover > rows)
+    ok = alive[coverers]
+    np.minimum.at(absorber, covered[ok], coverers[ok])
+    return absorber
+
+
+def _read_factors(
+    cells: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    pool_codes: np.ndarray,
+    target_codes: np.ndarray,
+    values: List[List[Value]],
+    cache: DominanceCache,
+) -> Tuple[np.ndarray, Dict[int, Exception]]:
+    """Each cell's factor, and the first failing read of each target.
+
+    ``cells`` are ``(target, competitor, dimension)`` index arrays in
+    that order; each distinct preference pair they read is resolved
+    once, through one bulk read of ``cache``.  A failed read's factor
+    is NaN.
+    """
+    cell_t, cell_i, cell_j = cells
+    span = max(map(len, values))
+    pair = (cell_j * span + pool_codes[cell_i, cell_j]) * span
+    pair += target_codes[cell_t, cell_j]
+    pairs, inverse, reads = np.unique(
+        pair, return_inverse=True, return_counts=True
+    )
+    inverse = inverse.reshape(-1)
+    dimension, rest = np.divmod(pairs, span * span)
+    better, worse = np.divmod(rest, span)
+    offsets = np.cumsum([0] + [len(known) for known in values])
+    names = np.fromiter(
+        (value for known in values for value in known),
+        dtype=object,
+        count=int(offsets[-1]),
+    )
+    base = offsets[dimension]
+    probabilities, errors = cache._resolve_many(
+        list(
+            zip(
+                dimension.tolist(),
+                names[base + better].tolist(),
+                names[base + worse].tolist(),
+            )
+        ),
+        reads.tolist(),
+    )
+    factor = np.asarray(probabilities, dtype=np.float64)[inverse]
+    failures: Dict[int, Exception] = {}
+    if errors:
+        broken = np.zeros(len(pairs), dtype=bool)
+        broken[list(errors)] = True
+        failing = np.flatnonzero(broken[inverse])
+        targets, first = np.unique(cell_t[failing], return_index=True)
+        for t, cell in zip(targets.tolist(), failing[first].tolist()):
+            failures[t] = errors[int(inverse[cell])]
+    return factor, failures
+
+
+def _forms(
+    sizes: np.ndarray, widths: np.ndarray, ids: np.ndarray, factors: np.ndarray
+) -> List[Component]:
+    """Slice flat cell arrays into one :class:`Component` per part.
+
+    ``sizes[k]`` holds part ``k``'s member count, ``widths`` each
+    member's factor count, and ``ids``/``factors`` every cell, member
+    after member.
+    """
+    members = np.empty(len(widths), dtype=object)
+    starts = np.cumsum(widths) - widths
+    for width in np.unique(widths).tolist():
+        which = np.flatnonzero(widths == width)
+        cells = ids[starts[which][:, None] + np.arange(width)]
+        members[which] = np.fromiter(
+            map(tuple, cells.tolist()), dtype=object, count=len(which)
+        )
+    members = members.tolist()
+    factors = factors.tolist()
+    part_cells = np.zeros(len(sizes), dtype=np.int64)
+    if len(sizes):
+        part_cells = np.add.reduceat(widths, np.cumsum(sizes) - sizes)
+    forms = []
+    member = cell = 0
+    for size, length in zip(sizes.tolist(), part_cells.tolist()):
+        forms.append(
+            Component(
+                tuple(members[member : member + size]),
+                tuple(factors[cell : cell + length]),
+            )
+        )
+        member += size
+        cell += length
+    return forms
+
+
+def _plan_tile(
+    codes: _ValueCodes,
+    targets: Sequence[Tuple[ObjectValues, int | None]],
+    pool: Sequence[int],
+    dims: Sequence[int] | None,
+    cache: DominanceCache,
+    *,
+    method: str,
+    use_absorption: bool,
+    use_partition: bool,
+    max_exact: int,
+) -> List[object]:
+    """Plan many targets against their pools in one set of array passes.
+
+    ``targets`` are ``(values, dataset index or None)`` pairs; each
+    target's competitors are the ``pool`` positions (ascending dataset
+    indices) other than its own index, restricted to ``dims`` when
+    given, and none of them may equal it there (the engine answers such
+    duplicates before planning).  ``method`` is ``"det"`` (one component
+    of every competitor) or a preprocessing method (``"det+"``,
+    ``"auto"``).  Per target, the result is the exception its planning
+    raises or ``(prep, components)``: the :class:`PreprocessResult`
+    (``None`` for ``det``) and one :class:`~repro.core.exact.Component`
+    per partition (``det``: the one), ``None`` for a partition larger
+    than ``max_exact``.  Both equal what the per-target pipeline
+    (:func:`preprocess`, then factor lists through
+    :func:`~repro.core.exact._component`) builds, insertion orders
+    included.
+
+    Preference probabilities are read in bulk from ``cache``, only for
+    the cells the per-target pipeline reads: the differing dimensions of
+    absorption survivors (of every competitor for ``det``).  A read that
+    raises fails each target reading it, with the error of the target's
+    first failing read in competitor-then-dimension order.
+    """
+    dimensionality = codes.codes.shape[1]
+    count = len(targets)
+    pool = np.asarray(pool, dtype=np.int64)
+    width = len(pool)
+    size = count * width
+    pool_codes = codes.codes[pool]
+    target_codes, values = codes.encode(targets)
+    own = np.array([-1 if index is None else index for _, index in targets])
+    valid = pool[None, :] != own[:, None]
+    diff = pool_codes[None, :, :] != target_codes[:, None, :]
+    if dims is not None:
+        retained = np.zeros(dimensionality, dtype=bool)
+        retained[list(dims)] = True
+        diff &= retained
+    diff &= valid[:, :, None]
+    # Flat (target, pool entry) items: each entry's competitor position.
+    position = (np.cumsum(valid, axis=1) - 1).reshape(size)
+    preprocessing = method != "det"
+    absorber = np.full(size, size)
+    if preprocessing and use_absorption:
+        absorber = _absorbers(diff, valid, pool_codes)
+    read = valid.reshape(size) & (absorber == size)
+    cells = np.nonzero(diff & read.reshape(count, width)[:, :, None])
+    cell_t, cell_i, cell_j = cells
+    factor, failures = _read_factors(
+        cells, pool_codes, target_codes, values, cache
+    )
+    cell_item = cell_t * width + cell_i
+    # A cell's (target, dimension, value) key, unique within the tile.
+    cell_key = (cell_t * dimensionality + cell_j) * max(map(len, values))
+    cell_key += pool_codes[cell_i, cell_j]
+    impossible = np.zeros(size, dtype=bool)
+    impossible[cell_item[factor == 0.0]] = True
+    live = read.copy()
+    for t in failures:
+        live[t * width : (t + 1) * width] = False
+    members = np.flatnonzero(live & ~impossible)
+    # Components: members grouped under their smallest member, groups
+    # and members ascending — the order UnionFind.components() yields.
+    if preprocessing and use_partition:
+        member = np.zeros(size, dtype=bool)
+        member[members] = True
+        linking = member[cell_item]
+        items = cell_item[linking]
+        # Each item joins the first item holding each of its keys.
+        _, anchor, key_of = np.unique(
+            cell_key[linking], return_index=True, return_inverse=True
+        )
+        root = _roots(size, items[anchor][key_of.reshape(-1)], items)[members]
+    else:
+        root = members // width
+    order = np.lexsort((members, root))
+    members, root = members[order], root[order]
+    head = np.ones(len(members), dtype=bool)
+    head[1:] = root[1:] != root[:-1]
+    part_start = np.flatnonzero(head)
+    part_size = np.diff(np.append(part_start, len(members)))
+    solved = part_size <= max_exact if preprocessing else part_size > 0
+    # The solved parts' cells, member after member.  Parts share no key,
+    # so a key's rank among the tile's first occurrences, less that of
+    # its part's first cell, numbers it first-seen within its part.
+    solved_members = members[np.repeat(solved, part_size)]
+    widths = diff.reshape(size, dimensionality).sum(axis=1)[solved_members]
+    solved_cells = np.repeat(
+        np.searchsorted(cell_item, solved_members) - (np.cumsum(widths) - widths),
+        widths,
+    ) + np.arange(widths.sum())
+    _, first_seen, key_of = np.unique(
+        cell_key[solved_cells], return_index=True, return_inverse=True
+    )
+    rank = np.empty(len(first_seen), dtype=np.int64)
+    rank[np.argsort(first_seen)] = np.arange(len(first_seen))
+    local = rank[key_of.reshape(-1)]
+    sizes = part_size[solved]
+    if len(sizes):
+        part_cells = np.add.reduceat(widths, np.cumsum(sizes) - sizes)
+        local -= np.repeat(local[np.cumsum(part_cells) - part_cells], part_cells)
+    forms = iter(_forms(sizes, widths, local, factor[solved_cells]))
+    components = [next(forms) if ok else None for ok in solved.tolist()]
+    # Per target: its slices of the flat, target-major results.
+    bounds = np.arange(count + 1) * width
+    part_bounds = np.searchsorted(members[part_start], bounds).tolist()
+    member_positions = position[members].tolist()
+    parts = [
+        tuple(member_positions[first : first + length])
+        for first, length in zip(part_start.tolist(), part_size.tolist())
+    ]
+    outcomes: List[object] = [failures.get(t) for t in range(count)]
+    if not preprocessing:
+        for t in range(count):
+            if t not in failures:
+                # Every competitor may have a zero factor: no dominator.
+                own_parts = components[part_bounds[t] : part_bounds[t + 1]]
+                outcomes[t] = (None, own_parts or [Component((), ())])
+        return outcomes
+    kept = np.sort(members)
+    kept_bounds = np.searchsorted(kept, bounds).tolist()
+    kept = position[kept].tolist()
+    dropped = np.flatnonzero(live & impossible)
+    dropped_bounds = np.searchsorted(dropped, bounds).tolist()
+    dropped = position[dropped].tolist()
+    absorbed = np.flatnonzero(absorber < size)
+    final = absorber.copy()
+    while True:
+        chained = absorbed[absorber[final[absorbed]] < size]
+        if not len(chained):
+            break
+        final[chained] = absorber[final[chained]]
+    # Insertion order: by first absorber, then ascending.
+    absorbed = absorbed[np.lexsort((absorbed, absorber[absorbed]))]
+    absorbed_bounds = np.searchsorted(
+        absorbed // width, np.arange(count + 1)
+    ).tolist()
+    absorbed = list(
+        zip(position[absorbed].tolist(), position[final[absorbed]].tolist())
+    )
+    for t, (target, _) in enumerate(targets):
+        if t in failures:
+            continue
+        first_part, last_part = part_bounds[t], part_bounds[t + 1]
+        prep = PreprocessResult(
+            target=target,
+            kept_indices=tuple(kept[kept_bounds[t] : kept_bounds[t + 1]]),
+            absorbed_by=dict(
+                absorbed[absorbed_bounds[t] : absorbed_bounds[t + 1]]
+            ),
+            dropped_impossible=tuple(
+                dropped[dropped_bounds[t] : dropped_bounds[t + 1]]
+            ),
+            partitions=tuple(parts[first_part:last_part]),
+        )
+        _record_preprocess(prep)
+        outcomes[t] = (prep, components[first_part:last_part])
+    return outcomes

@@ -41,6 +41,7 @@ the serve tier buckets coalesced requests on the restriction key.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -50,14 +51,16 @@ from repro.core.engine import (
     METHODS,
     SkylineProbabilityEngine,
     SkylineReport,
+    _check_det_kernel,
     _ComponentMemo,
+    _resolve_index,
     _resolve_pool,
     _solve_target,
 )
-from repro.core.exact import DEFAULT_DET_KERNEL, DET_KERNELS
+from repro.core.exact import DEFAULT_DET_KERNEL
 from repro.core.objects import Dataset, ObjectValues, Value, as_object
 from repro.core.preprocess import _preprocess_keys, _split_possible
-from repro.errors import DatasetError, DimensionalityError, ReproError
+from repro.errors import DimensionalityError, ReproError
 
 __all__ = [
     "Restriction",
@@ -103,27 +106,23 @@ def normalize_restriction(
 ) -> Restriction:
     """Validate and canonicalise a restriction against ``dataset``.
 
-    Competitor indices are range-checked, de-duplicated and sorted; the
-    full index range collapses to ``None`` (same semantics, better
-    sharing).  An *empty* competitor subset is legal — nothing can
-    dominate, so ``sky = 1`` exactly.  Dimension subsets are handled the
-    same way except that an empty subspace is rejected: with no
-    dimensions left, dominance is vacuous in a way the paper's model
-    never defines, so it is an error rather than a silent 1.0.
+    Competitor indices follow the one index rule of every entry point
+    (an integer, NumPy integers included, in ``[0, n)``; anything else
+    is a :class:`~repro.errors.DatasetError`) and are de-duplicated and
+    sorted; the full index range collapses to ``None`` (same semantics,
+    better sharing).  An *empty* competitor subset is legal — nothing
+    can dominate, so ``sky = 1`` exactly.  Dimensions must be integers
+    in range too (a :class:`~repro.errors.DimensionalityError`
+    otherwise) and are handled the same way, except that an empty
+    subspace is rejected: with no dimensions left, dominance is vacuous
+    in a way the paper's model never defines, so it is an error rather
+    than a silent 1.0.
     """
     cardinality = len(dataset)
     dimensionality = dataset.dimensionality
     competitor_key: Tuple[int, ...] | None = None
     if competitors is not None:
-        seen = set()
-        for position in competitors:
-            index = int(position)
-            if not 0 <= index < cardinality:
-                raise DatasetError(
-                    f"competitor index {index} outside the dataset "
-                    f"(cardinality {cardinality})"
-                )
-            seen.add(index)
+        seen = {_resolve_index(dataset, position) for position in competitors}
         competitor_key = tuple(sorted(seen))
         if len(competitor_key) == cardinality:
             competitor_key = None
@@ -131,7 +130,12 @@ def normalize_restriction(
     if dims is not None:
         chosen = set()
         for dimension in dims:
-            index = int(dimension)
+            try:
+                index = operator.index(dimension)
+            except TypeError:
+                raise DimensionalityError(
+                    f"dimension {dimension!r} is not an integer"
+                ) from None
             if not 0 <= index < dimensionality:
                 raise DimensionalityError(
                     f"dimension {index} outside the space "
@@ -321,11 +325,7 @@ def restricted_skyline_probabilities(
         raise ReproError(
             f"unknown method {method!r}; expected one of {METHODS}"
         )
-    if det_kernel not in DET_KERNELS:
-        raise ReproError(
-            f"unknown det_kernel {det_kernel!r}; "
-            f"expected one of {DET_KERNELS}"
-        )
+    _check_det_kernel(det_kernel)
     validate_accuracy(epsilon, delta, samples)
     restriction_list = _normalize_restriction_specs(
         dataset, competitors, dims, restrictions

@@ -65,6 +65,7 @@ from repro.core.engine import (
     DEADLINE_POLICIES,
     METHODS,
     SkylineProbabilityEngine,
+    _check_det_kernel,
     _resolve_indices,
 )
 from repro.core.exact import DEFAULT_DET_KERNEL
@@ -348,6 +349,7 @@ class ShardCoordinator:
             raise ReproError(
                 f"unknown method {method!r}; expected one of {METHODS}"
             )
+        _check_det_kernel(det_kernel)
         validate_accuracy(epsilon, delta, samples)
         validate_robustness(
             deadline=deadline,

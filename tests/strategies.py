@@ -16,6 +16,7 @@ __all__ = [
     "apply_edit",
     "restricted_instance",
     "structure_rows",
+    "strict_block_zipf",
 ]
 
 
@@ -328,3 +329,23 @@ def structure_rows(draw, max_objects=16, max_rows=40):
              for obj in objects]
         )
     return components
+
+
+def strict_block_zipf():
+    """Block-zipf objects (n=40, d=3) on a strict model missing three
+    pairs: some targets read a missing pair and fail, the rest answer."""
+    from repro.data.blockzipf import block_zipf_dataset
+
+    dataset = block_zipf_dataset(40, 3, blocks=4, seed=5)
+    preferences = PreferenceModel(3)
+    rng = random.Random(6)
+    for j in range(3):
+        values = sorted({row[j] for row in dataset})
+        for a in values:
+            for b in values:
+                if a < b:
+                    preferences.set_preference(j, a, b, rng.random())
+    for j, a, b in [(0, 1, 2), (1, 0, 3), (2, 2, 5)]:
+        values = sorted({row[j] for row in dataset})
+        preferences.delete_preference(j, values[a], values[b])
+    return dataset, preferences

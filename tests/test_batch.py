@@ -16,13 +16,14 @@ from repro.core.batch import BatchResult, batch_skyline_probabilities
 from repro.core.dominance import DominanceCache
 from repro.core.engine import METHODS, SkylineProbabilityEngine, SkylineReport
 from repro.core.objects import Dataset
+from repro.core.preferences import PreferenceModel
 from repro.data.blockzipf import block_zipf_dataset
 from repro.data.examples import running_example
 from repro.data.procedural import HashedPreferenceModel
-from repro.errors import ReproError
+from repro.errors import DatasetError, DimensionalityError, ReproError
 from repro.util.rng import spawn_rngs
 
-from strategies import uncertain_instance
+from strategies import strict_block_zipf, uncertain_instance
 
 #: Methods whose answers consume randomness (need matched streams).
 SAMPLED = ("sam", "sam+")
@@ -317,6 +318,34 @@ class TestIndicesAndProvenance:
             with pytest.raises(ReproError, match="workers"):
                 batch_skyline_probabilities(_engine(), workers=workers)
 
+    def test_bad_max_exact_objects_rejected(self):
+        # -1 used to be accepted and made `auto` sample every partition.
+        from repro import DynamicSkylineEngine
+
+        dataset, preferences = running_example()
+        for budget in (-1, 2.5, True, "x", None):
+            for engine_type in (SkylineProbabilityEngine, DynamicSkylineEngine):
+                with pytest.raises(ReproError, match="max_exact_objects"):
+                    engine_type(dataset, preferences, max_exact_objects=budget)
+        engine = SkylineProbabilityEngine(dataset, preferences, max_exact_objects=0)
+        assert engine.skyline_probability(0, method="auto", seed=1).exact is False
+
+    def test_bad_top_k_rejected(self):
+        from repro import DynamicSkylineEngine
+
+        dataset, preferences = running_example()
+        engines = (
+            SkylineProbabilityEngine(dataset, preferences),
+            DynamicSkylineEngine(dataset, preferences),
+        )
+        for engine in engines:
+            for k in (0, -1, 2.5, "3", True):
+                with pytest.raises(ReproError, match="k must be an integer"):
+                    engine.top_k(k)
+            assert [index for index, _ in engine.top_k(1)] == [
+                index for index, _ in engine.top_k(5)[:1]
+            ]
+
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ReproError, match="chunk_size"):
             batch_skyline_probabilities(_engine(), chunk_size=0)
@@ -329,6 +358,25 @@ class TestIndicesAndProvenance:
     def test_unknown_method_rejected(self):
         with pytest.raises(ReproError, match="unknown method"):
             batch_skyline_probabilities(_engine(), method="magic")
+
+    @pytest.mark.parametrize(
+        "options, error, match",
+        [
+            (dict(det_kernel="nope"), ReproError, "unknown det_kernel"),
+            (dict(dims=[]), ReproError, "must not be empty"),
+            (dict(dims=[7]), DimensionalityError, "outside the space"),
+            (dict(competitors=[2.5]), DatasetError, "not an integer"),
+        ],
+    )
+    def test_bad_shared_option_raises_before_any_work(self, options, error, match):
+        # Each is the error a single query raises; a batch used to salvage
+        # one failure per object instead.
+        engine = _engine()
+        with pytest.raises(error, match=match):
+            engine.skyline_probability(0, **options)
+        with pytest.raises(error, match=match):
+            batch_skyline_probabilities(engine, **options)
+        assert engine.cache_info()["misses"] == 0
 
 
 class TestSpawnedStreamStatistics:
@@ -462,3 +510,57 @@ class TestExplicitSeeds:
             batch_skyline_probabilities(
                 _engine("zipf"), indices=[0, 1], seeds=[1], workers=1
             )
+
+
+class TestStrictModelThroughChunks:
+    """A strict model's missing pair fails exactly the targets that read
+    it when a whole chunk is planned, and nothing else."""
+
+    def test_absorbed_competitor_never_reads_its_missing_pair(self):
+        # Only (0, "a0", "o0") is defined.
+        dataset = Dataset([("o0", "o1"), ("a0", "o1"), ("a0", "b1")])
+        preferences = PreferenceModel(2)
+        preferences.set_preference(0, "a0", "o0", 0.6)
+        result = batch_skyline_probabilities(
+            SkylineProbabilityEngine(dataset, preferences)
+        )
+        # Object 0's competitor ("a0", "b1") is absorbed by ("a0", "o1"),
+        # so its missing ("b1", "o1") pair is never read.
+        assert result.indices == (0,)
+        assert result.reports[0].preprocessing.absorbed_by == {1: 0}
+        assert [(f.index, f.error_type) for f in result.failures] == [
+            (1, "UnknownPreferenceError"),
+            (2, "UnknownPreferenceError"),
+        ]
+        assert "'b1' and 'o1'" in result.failures[0].message
+        assert "'o1' and 'b1'" in result.failures[1].message
+
+    @pytest.mark.parametrize("tiles", [True, False], ids=["tiles", "alone"])
+    def test_failing_and_answering_targets_share_a_chunk(self, monkeypatch, tiles):
+        import repro.core.engine as engine_module
+
+        dataset, preferences = strict_block_zipf()
+        engine = SkylineProbabilityEngine(dataset, preferences)
+        expected = {}
+        for index in range(len(dataset)):
+            try:
+                expected[index] = engine.skyline_probability(index)
+            except Exception as error:
+                expected[index] = error
+        failing = {i for i, answer in expected.items() if isinstance(answer, Exception)}
+        assert 0 < len(failing) < len(dataset)
+        # Force the chunk's planning path; tiles of four targets each, so
+        # failing and answering targets share tiles.
+        crossover = 0 if tiles else float("inf")
+        monkeypatch.setattr(engine_module, "_TILE_CROSSOVER", crossover, raising=False)
+        monkeypatch.setattr(engine_module, "_TILE_CELLS", 4 * 39 * 3, raising=False)
+        result = batch_skyline_probabilities(
+            SkylineProbabilityEngine(dataset, preferences)
+        )
+        assert {f.index for f in result.failures} == failing
+        for failure in result.failures:
+            error = expected[failure.index]
+            assert failure.error_type == type(error).__name__
+            assert failure.message == str(error)
+        for index, report in zip(result.indices, result.reports):
+            assert repr(report) == repr(expected[index])

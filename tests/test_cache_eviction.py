@@ -239,7 +239,9 @@ class TestAllObjectsCacheTraffic:
         )
         assert (result.cache_hits, result.cache_misses) == (28, 28)
 
-    def test_block_zipf_with_absorption(self):
+    def test_block_zipf_with_absorption(self, monkeypatch):
+        import repro.core.engine as engine_module
+
         dataset = block_zipf_dataset(48, 3, blocks=6, seed=17)
         preferences = HashedPreferenceModel(3, seed=18)
         result = batch_skyline_probabilities(
@@ -248,4 +250,20 @@ class TestAllObjectsCacheTraffic:
         assert sum(
             len(report.preprocessing.absorbed_by) for report in result.reports
         ) == 68
-        assert (result.cache_hits, result.cache_misses) == (6358, 4406)
+        # The chunk is planned by the tile pass, which counts one lookup
+        # per preference probability its factor rows read.
+        assert (result.cache_hits, result.cache_misses) == (4170, 2218)
+        # Planned one target at a time, each (target, survivor) pair adds
+        # one factor-tuple miss (zero filter) and one hit (its component's
+        # factor list): 48 * 47 pairs less the 68 absorbed.
+        monkeypatch.setattr(engine_module, "_TILE_CROSSOVER", float("inf"))
+        alone = batch_skyline_probabilities(
+            SkylineProbabilityEngine(dataset, preferences)
+        )
+        assert (alone.cache_hits, alone.cache_misses) == (6358, 4406)
+        pairs = 48 * 47 - 68
+        assert (alone.cache_hits - pairs, alone.cache_misses - pairs) == (
+            result.cache_hits,
+            result.cache_misses,
+        )
+        assert [repr(r) for r in alone.reports] == [repr(r) for r in result.reports]

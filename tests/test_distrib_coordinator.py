@@ -266,6 +266,12 @@ class TestValidation:
         with pytest.raises(RobustnessPolicyError, match="before_task"):
             coordinator.run(method="det+", fault_injector=object())
 
+    def test_bad_det_kernel_raises_before_any_shard_runs(self):
+        # It used to start workers and salvage one failure per object.
+        coordinator = ShardCoordinator(_engine(6), DistribConfig(workers=2))
+        with pytest.raises(ReproError, match="unknown det_kernel"):
+            coordinator.run(det_kernel="nope")
+
 
 class TestDistribCLI:
     @pytest.fixture

@@ -21,7 +21,7 @@ from repro import (
 from repro.data.prefgen import random_preferences
 from repro.data.uniform import uniform_dataset
 from repro.distrib import DistribConfig, ShardCoordinator
-from repro.errors import ComputationBudgetError, DatasetError
+from repro.errors import ComputationBudgetError, DatasetError, DimensionalityError
 
 
 def _engine() -> SkylineProbabilityEngine:
@@ -94,3 +94,53 @@ def test_planner_uses_dynamic_engines_exact_budget(share_pass):
             method="det+",
             share_pass=share_pass,
         )
+
+
+#: Each entry point that takes a restriction: its probability for one
+#: target under ``restriction`` (``competitors``/``dims`` keywords).
+RESTRICTED_ENTRY_POINTS = {
+    "engine": lambda engine, target, restriction: engine.skyline_probability(
+        target, **restriction
+    ).probability,
+    "planner": lambda engine, target, restriction: (
+        restricted_skyline_probabilities(engine, [target], **restriction)
+    ).probabilities[0][0],
+    "dynamic restricted": lambda engine, target, restriction: (
+        DynamicSkylineEngine(engine.dataset, engine.preferences)
+        .restricted_skyline_probability(target, **restriction)
+        .probability
+    ),
+    "batch": lambda engine, target, restriction: batch_skyline_probabilities(
+        engine, indices=[target], **restriction
+    ).probabilities[0],
+    "skyline_probabilities": lambda engine, target, restriction: (
+        engine.skyline_probabilities(indices=[target], **restriction)[0]
+    ),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(RESTRICTED_ENTRY_POINTS))
+@pytest.mark.parametrize("index", [2.5, "a"], ids=["float", "string"])
+def test_non_integer_competitor_index_is_rejected(entry_point, index):
+    # 2.5 used to be truncated to object 2, "a" to raise a bare ValueError.
+    with pytest.raises(DatasetError, match="integer"):
+        RESTRICTED_ENTRY_POINTS[entry_point](
+            _engine(), 0, dict(competitors=[index])
+        )
+
+
+@pytest.mark.parametrize("entry_point", sorted(RESTRICTED_ENTRY_POINTS))
+def test_non_integer_dimension_is_rejected(entry_point):
+    # 1.9 used to be truncated to dimension 1.
+    with pytest.raises(DimensionalityError, match="integer"):
+        RESTRICTED_ENTRY_POINTS[entry_point](_engine(), 0, dict(dims=[1.9]))
+
+
+@pytest.mark.parametrize("entry_point", sorted(RESTRICTED_ENTRY_POINTS))
+def test_numpy_integer_restriction_is_accepted(entry_point):
+    answer = RESTRICTED_ENTRY_POINTS[entry_point](
+        _engine(), 0, dict(competitors=[np.int64(2), np.int64(4)], dims=[np.int64(1)])
+    )
+    assert answer == RESTRICTED_ENTRY_POINTS[entry_point](
+        _engine(), 0, dict(competitors=[2, 4], dims=[1])
+    )
