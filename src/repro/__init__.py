@@ -38,6 +38,7 @@ from repro.core import (
     PreferenceModel,
     PreferencePair,
     PreprocessResult,
+    QueryOptions,
     RestrictedResult,
     Restriction,
     SamplingResult,
@@ -88,6 +89,7 @@ __all__ = [
     "SkylineProbabilityEngine",
     "SkylineReport",
     "METHODS",
+    "QueryOptions",
     "DominanceCache",
     "DynamicSkylineEngine",
     "EditReport",

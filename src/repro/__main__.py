@@ -33,7 +33,8 @@ import sys
 from pathlib import Path
 from typing import List
 
-from repro.core.engine import METHODS, SkylineProbabilityEngine
+from repro.core.engine import SkylineProbabilityEngine
+from repro.core.options import DEADLINE_POLICIES, METHODS, QueryOptions
 from repro.core.pruning import top_k_pruned
 from repro.core.validate import missing_preference_pairs
 from repro.errors import ReproError
@@ -448,18 +449,13 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
             )
         dataset, preferences = _load_inputs(arguments)
         engine = DynamicSkylineEngine(dataset, preferences)
-    default_query: dict = {
-        "method": arguments.method,
-        "epsilon": arguments.epsilon,
-        "delta": arguments.delta,
+    default_query = {
+        name: getattr(arguments, name)
+        for name in (
+            "method", "epsilon", "delta", "samples", "deadline",
+            "on_deadline", "max_overrun",
+        )
     }
-    if arguments.samples is not None:
-        default_query["samples"] = arguments.samples
-    if arguments.deadline is not None:
-        default_query["deadline"] = arguments.deadline
-        default_query["on_deadline"] = arguments.on_deadline
-        if arguments.max_overrun is not None:
-            default_query["max_overrun"] = arguments.max_overrun
     config = ServeConfig(
         host=arguments.host,
         port=arguments.port,
@@ -566,6 +562,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
+    def add_query_options(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument("--method", choices=METHODS, default=QueryOptions.method)
+        sub.add_argument("--epsilon", type=float, default=QueryOptions.epsilon)
+        sub.add_argument("--delta", type=float, default=QueryOptions.delta)
+        sub.add_argument("--samples", type=int, default=QueryOptions.samples)
+
     def add_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--dataset", required=True, help="dataset .json/.csv")
         sub.add_argument(
@@ -575,10 +577,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--default", type=float, default=None,
             help="symmetric default probability for unset pairs (CSV input)",
         )
-        sub.add_argument("--method", choices=METHODS, default="auto")
-        sub.add_argument("--epsilon", type=float, default=0.01)
-        sub.add_argument("--delta", type=float, default=0.01)
-        sub.add_argument("--samples", type=int, default=None)
+        add_query_options(sub)
         sub.add_argument("--seed", type=int, default=None)
         sub.add_argument("--json", action="store_true", help="JSON output")
 
@@ -703,20 +702,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-pending", type=int, default=256,
         help="admission bound on queued queries (429 beyond it)",
     )
-    serve.add_argument("--method", choices=METHODS, default="auto")
-    serve.add_argument("--epsilon", type=float, default=0.01)
-    serve.add_argument("--delta", type=float, default=0.01)
-    serve.add_argument("--samples", type=int, default=None)
+    add_query_options(serve)
     serve.add_argument(
-        "--deadline", type=float, default=None,
+        "--deadline", type=float, default=QueryOptions.deadline,
         help="per-query wall-clock deadline in seconds",
     )
     serve.add_argument(
-        "--on-deadline", choices=("degrade", "raise"), default="degrade",
+        "--on-deadline", choices=DEADLINE_POLICIES,
+        default=QueryOptions.on_deadline,
         help="deadline policy: degrade to Sam (default) or fail with 504",
     )
     serve.add_argument(
-        "--max-overrun", type=float, default=None,
+        "--max-overrun", type=float, default=QueryOptions.max_overrun,
         help="cap (seconds past the deadline) on the degraded Sam "
         "fallback; it truncates at a chunk boundary when the cap expires",
     )

@@ -21,12 +21,8 @@ from repro.core.dominance import (
     dominates_under,
     joint_dominance_probability,
 )
-from repro.core.engine import (
-    DEADLINE_POLICIES,
-    METHODS,
-    SkylineProbabilityEngine,
-    SkylineReport,
-)
+from repro.core.engine import SkylineProbabilityEngine, SkylineReport
+from repro.core.options import DEADLINE_POLICIES, METHODS, QueryOptions
 from repro.core.dynamic import (
     DynamicSkylineEngine,
     EditReport,
@@ -156,6 +152,7 @@ __all__ = [
     "SkylineReport",
     "METHODS",
     "DEADLINE_POLICIES",
+    "QueryOptions",
     "DynamicSkylineEngine",
     "EditReport",
     "PartitionFactor",

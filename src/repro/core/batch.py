@@ -75,18 +75,15 @@ from functools import partial
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import repro.obs as obs
-from repro.core.bounds import validate_accuracy, validate_robustness
+from repro.core.bounds import validate_robustness
 from repro.core.dominance import DominanceCache
 from repro.core.engine import (
-    DEADLINE_POLICIES,
-    METHODS,
     SkylineProbabilityEngine,
     SkylineReport,
-    _check_det_kernel,
     _resolve_indices,
 )
-from repro.core.exact import DEFAULT_DET_KERNEL
 from repro.core.objects import Dataset
+from repro.core.options import QueryOptions
 from repro.core.preferences import PreferenceModel
 from repro.errors import ReproError, RobustnessPolicyError
 from repro.obs import BatchStats
@@ -382,8 +379,10 @@ def _solve_chunk(
 ) -> Tuple[List[Tuple[int, SkylineReport]], int, int]:
     """Process-pool entry point: answer one chunk of tasks, fail-fast.
 
-    Top-level (picklable) on purpose.  Each worker process rebuilds a
-    lightweight engine and its own :class:`DominanceCache` — caches cannot
+    Top-level (picklable) on purpose.  ``method`` and ``query_options``
+    are the batch's :class:`~repro.core.options.QueryOptions` as plain
+    keywords.  Each worker process rebuilds them, a lightweight engine
+    and its own :class:`DominanceCache` — caches cannot
     be shared across process boundaries, but a chunk-local cache still
     amortises lookups within the chunk.  The chunk is answered by
     :func:`_run_chunk_inprocess` as its last attempt: any failure aborts
@@ -403,9 +402,10 @@ def _solve_chunk(
         dataset, preferences, max_exact_objects=max_exact_objects
     )
     cache = DominanceCache(preferences)
+    options = QueryOptions(**dict(query_options, method=method))
     # The chunk's last attempt, raising the first failure in task order.
     outcomes = _run_chunk_inprocess(
-        engine, cache, method, query_options, injector, tasks,
+        engine, cache, options, injector, tasks,
         attempts_done=attempt - 1, max_retries=attempt - 1, backoff=0.0,
         on_error="raise",
     )
@@ -430,8 +430,7 @@ def _give_up(
 def _run_task_with_retry(
     engine: SkylineProbabilityEngine,
     cache: DominanceCache,
-    method: str,
-    query_options: dict,
+    options: QueryOptions,
     injector: object,
     task: _Task,
     *,
@@ -450,9 +449,12 @@ def _run_task_with_retry(
     anything else (injected crashes, infrastructure faults) is retried
     with capped exponential backoff until ``max_retries + 1`` total
     attempts are spent.  A task that still fails is either recorded as a
-    :class:`BatchFailure` (``on_error="salvage"``) or re-raised.
+    :class:`BatchFailure` (``on_error="salvage"``) or re-raised.  The
+    task is one :meth:`SkylineProbabilityEngine.skyline_probability`
+    query.
     """
     position, index, task_seed = task
+    keywords = options.as_kwargs()
     allowed = max_retries + 1
     attempt = attempts_done
     retries_used = 0
@@ -465,8 +467,7 @@ def _run_task_with_retry(
             if injector is not None:
                 injector.before_task(index, attempt)
             report = engine.skyline_probability(
-                index, method=method, seed=task_seed, cache=cache,
-                **query_options,
+                index, seed=task_seed, cache=cache, **keywords
             )
             return position, report, None, retries_used
         except Exception as error:
@@ -480,8 +481,7 @@ def _run_task_with_retry(
 def _run_chunk_inprocess(
     engine: SkylineProbabilityEngine,
     cache: DominanceCache,
-    method: str,
-    query_options: dict,
+    options: QueryOptions,
     injector: object,
     chunk: List[_Task],
     *,
@@ -511,7 +511,7 @@ def _run_chunk_inprocess(
         # Every attempt is spent: record (or raise) the error that did it.
         return [
             _run_task_with_retry(
-                engine, cache, method, query_options, injector, task,
+                engine, cache, options, injector, task,
                 attempts_done=attempts_done, max_retries=max_retries,
                 backoff=backoff, on_error=on_error, last_error=last_error,
             )
@@ -527,12 +527,11 @@ def _run_chunk_inprocess(
 
     answers = engine._skyline_probability_many(
         [(index, task_seed) for _, index, task_seed in chunk],
+        options,
+        cache,
         before=before,
         beat=None if beat is None else lambda: beat(0, total),
         stop_at_error=on_error == "raise" and attempt > max_retries,
-        method=method,
-        cache=cache,
-        **query_options,
     )
     retried = int(attempt > 1)
     outcomes: List[_Outcome] = []
@@ -547,7 +546,7 @@ def _run_chunk_inprocess(
             if beat is not None:
                 beat(done, total)
             position, report, failure, retries_used = _run_task_with_retry(
-                engine, cache, method, query_options, injector, task,
+                engine, cache, options, injector, task,
                 attempts_done=attempt, max_retries=max_retries,
                 backoff=backoff, on_error=on_error, last_error=answer,
             )
@@ -558,29 +557,18 @@ def _run_chunk_inprocess(
 def batch_skyline_probabilities(
     engine: SkylineProbabilityEngine,
     *,
-    method: str = "auto",
     indices: Sequence[int] | None = None,
     workers: int | None = 1,
     cache: DominanceCache | None = None,
     chunk_size: int | None = None,
-    epsilon: float = 0.01,
-    delta: float = 0.01,
-    samples: int | None = None,
     seed: object = None,
     seeds: Sequence[object] | None = None,
-    use_absorption: bool = True,
-    use_partition: bool = True,
-    det_kernel: str = DEFAULT_DET_KERNEL,
-    deadline: float | None = None,
-    on_deadline: str = "degrade",
-    max_overrun: float | None = None,
-    competitors: Sequence[int] | None = None,
-    dims: Sequence[int] | None = None,
     max_retries: int = 2,
     backoff: float = 0.05,
     on_error: str = "salvage",
     executor: str = "auto",
     fault_injector: object = None,
+    **options: object,
 ) -> BatchResult:
     """Compute ``sky`` for all objects (or an index subset) in one pass.
 
@@ -588,8 +576,18 @@ def batch_skyline_probabilities(
     ----------
     engine:
         The engine whose dataset/preferences/budget the batch uses.
-    method:
-        Any of :data:`~repro.core.engine.METHODS`.
+    options:
+        Any of the :class:`~repro.core.options.QueryOptions`, shared by
+        every query of the batch and checked before any work (a
+        restriction's ranges too), raising the error a single query
+        raises instead of one :class:`BatchFailure` per object.  An
+        armed ``deadline`` degrades an over-budget exact query to the
+        ``(ε, δ)``-bounded ``Sam`` estimator (its report is flagged
+        ``degraded=True``; see :attr:`BatchResult.degraded_indices`)
+        instead of stalling the batch.  A restriction
+        (``competitors``/``dims``) applies to every query; for many
+        restrictions in one pass, use
+        :func:`repro.core.restricted.restricted_skyline_probabilities`.
     indices:
         Object positions to answer (default: the whole dataset, in order).
     workers:
@@ -616,14 +614,11 @@ def batch_skyline_probabilities(
         shares ``"vec"`` evaluations between objects (with ``workers=1``
         the default is one chunk of every object).  Affects scheduling
         only, never the answers.
-    epsilon, delta, samples, seed, use_absorption, use_partition, det_kernel:
-        As in :meth:`SkylineProbabilityEngine.skyline_probability`.
-        ``seed`` feeds one spawned stream per object for the sampling
-        methods, so a fixed seed fixes the whole batch output.  The
-        default ``det_kernel="auto"`` picks each component's kernel from
-        its dominator count alone, so batch answers equal the
-        per-object loop's bit for bit under it, as under every pinned
-        kernel.
+    seed:
+        Feeds one spawned stream per object for the sampling methods
+        (and, with a ``deadline`` armed, for the exact methods'
+        degradation), so a fixed seed fixes the whole batch output for
+        every ``workers``/``chunk_size`` choice.
     seeds:
         Explicit per-object seed-likes (one entry per queried object,
         each anything :func:`repro.util.rng.as_rng` accepts), overriding
@@ -632,25 +627,6 @@ def batch_skyline_probabilities(
         request coalescer — keeps every answer bit-identical to the
         direct query each request would have made: pass each request's
         own derived stream instead of streams keyed to batch positions.
-    deadline, on_deadline:
-        Per-query wall-clock budget, forwarded to every query of the
-        batch: an exact query that blows ``deadline`` seconds degrades to
-        the ``(ε, δ)``-bounded ``Sam`` estimator (its report is flagged
-        ``degraded=True``; see :attr:`BatchResult.degraded_indices`)
-        instead of stalling the batch.  With a deadline armed, exact
-        methods also get per-object spawned streams so degradation stays
-        bit-reproducible across ``workers``/``chunk_size`` choices.
-    max_overrun:
-        Hard ceiling (seconds) on how far past ``deadline`` the Det→Sam
-        degradation fallback may run, forwarded to every query; see
-        :meth:`SkylineProbabilityEngine.skyline_probability`.
-    competitors, dims:
-        Optional restriction applied to every query of the batch: a
-        competitor index subset and/or a dimension subspace, forwarded to
-        :meth:`SkylineProbabilityEngine.skyline_probability` (restricted
-        items are first-class batch work — same seed spawning, same
-        fault tolerance).  For many restrictions in one pass, use
-        :func:`repro.core.restricted.restricted_skyline_probabilities`.
     max_retries, backoff:
         Fault-tolerance budget per task: a failed dispatch (worker crash,
         ``BrokenProcessPool``, pickling error, injected chaos fault) is
@@ -680,26 +656,9 @@ def batch_skyline_probabilities(
     inner = getattr(engine, "engine", None)
     if isinstance(inner, SkylineProbabilityEngine):
         engine = inner
-    if method not in METHODS:
-        raise ReproError(f"unknown method {method!r}; expected one of {METHODS}")
-    _check_det_kernel(det_kernel)
-    if competitors is not None or dims is not None:
-        # Imported lazily: repro.core.restricted imports this module.
-        from repro.core.restricted import normalize_restriction
-
-        normalize_restriction(engine.dataset, competitors=competitors, dims=dims)
-    validate_accuracy(epsilon, delta, samples)
-    validate_robustness(
-        deadline=deadline,
-        max_retries=max_retries,
-        backoff=backoff,
-        max_overrun=max_overrun,
-    )
-    if on_deadline not in DEADLINE_POLICIES:
-        raise RobustnessPolicyError(
-            f"unknown on_deadline policy {on_deadline!r}; expected one of "
-            f"{DEADLINE_POLICIES}"
-        )
+    query = QueryOptions(**options)
+    engine._restriction(query)  # the restriction's ranges, before any work
+    validate_robustness(max_retries=max_retries, backoff=backoff)
     if on_error not in ON_ERROR_POLICIES:
         raise RobustnessPolicyError(
             f"unknown on_error policy {on_error!r}; expected one of "
@@ -738,21 +697,8 @@ def batch_skyline_probabilities(
     collect = obs.is_enabled()
     started = time.perf_counter() if collect else 0.0
     if n == 0:
-        return BatchResult((), (), method, workers)
+        return BatchResult((), (), query.method, workers)
 
-    query_options = dict(
-        epsilon=epsilon,
-        delta=delta,
-        samples=samples,
-        use_absorption=use_absorption,
-        use_partition=use_partition,
-        det_kernel=det_kernel,
-        deadline=deadline,
-        on_deadline=on_deadline,
-        max_overrun=max_overrun,
-        competitors=None if competitors is None else tuple(competitors),
-        dims=None if dims is None else tuple(dims),
-    )
     # One spawned stream per object: independent across objects, fixed by
     # (seed, position) alone — chunking and worker count cannot move them.
     # An armed deadline spawns streams for exact methods too, so their
@@ -762,7 +708,7 @@ def batch_skyline_probabilities(
     # helper feeds the shard coordinator, which is what keeps sharded
     # runs bit-identical to this one-shot path.
     seed_list = spawn_batch_seeds(
-        method, n, seed=seed, seeds=seeds, deadline=deadline
+        query.method, n, seed=seed, seeds=seeds, deadline=query.deadline
     )
     tasks: List[_Task] = list(zip(range(n), index_list, seed_list))
 
@@ -789,7 +735,7 @@ def batch_skyline_probabilities(
         for chunk in _chunked(tasks, chunk_size or n):
             absorb(
                 _run_chunk_inprocess(
-                    engine, cache, method, query_options, fault_injector,
+                    engine, cache, query, fault_injector,
                     chunk, attempts_done=0, **recovery_policy,
                 )
             )
@@ -817,8 +763,8 @@ def batch_skyline_probabilities(
                 engine.dataset,
                 engine.preferences,
                 engine.max_exact_objects,
-                method,
-                query_options,
+                query.method,
+                query.as_kwargs(),
                 fault_injector,
                 collect,
             )
@@ -854,7 +800,7 @@ def batch_skyline_probabilities(
             ) -> List[_Outcome]:
                 chunk, attempts_done, last_error = entry
                 return _run_chunk_inprocess(
-                    engine, cache, method, query_options, fault_injector,
+                    engine, cache, query, fault_injector,
                     chunk, attempts_done=attempts_done,
                     last_error=last_error, **recovery_policy,
                 )
@@ -893,7 +839,7 @@ def batch_skyline_probabilities(
     return BatchResult(
         tuple(index_list[position] for position in answered),
         reports,
-        method,
+        query.method,
         workers,
         cache_hits=cache_hits,
         cache_misses=cache_misses,

@@ -48,6 +48,7 @@ differential harness in ``tests/test_dynamic_differential.py`` asserts.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Sequence, Tuple
@@ -55,7 +56,6 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 import repro.obs as obs
 from repro.core.dominance import DominanceCache
 from repro.core.exact import (
-    DEFAULT_DET_KERNEL,
     DEFAULT_MAX_OBJECTS,
     DET_KERNELS,
     ExactResult,
@@ -65,10 +65,11 @@ from repro.core.engine import (
     SkylineProbabilityEngine,
     SkylineReport,
     _check_count,
-    _check_det_kernel,
+    _resolve_index,
     _resolve_pool,
 )
 from repro.core.objects import Dataset, ObjectValues, Value, as_object
+from repro.core.options import QueryOptions, _check_det_kernel
 from repro.core.preferences import PreferenceModel
 from repro.core.preprocess import _differing_keys, partition, preprocess
 from repro.core.restricted import normalize_restriction
@@ -227,7 +228,7 @@ class DynamicSkylineEngine:
         *,
         max_exact_objects: int = DEFAULT_MAX_OBJECTS,
         fault_injector: object = None,
-        det_kernel: str = DEFAULT_DET_KERNEL,
+        det_kernel: str = QueryOptions.det_kernel,
     ) -> None:
         _check_det_kernel(det_kernel)
         self._engine = SkylineProbabilityEngine(
@@ -304,8 +305,7 @@ class DynamicSkylineEngine:
 
     def view(self, index: int) -> TargetView:
         """The maintained view for one object index."""
-        self._check_index(index)
-        return self._views[index]
+        return self._views[_resolve_index(self._dataset, index)]
 
     def skyline_probabilities(self) -> List[float]:
         """Exact ``sky`` for every object, served warm from the view."""
@@ -344,13 +344,13 @@ class DynamicSkylineEngine:
         self,
         target: object,
         *,
-        competitors: Sequence[int] | None = None,
-        dims: Sequence[int] | None = None,
-        method: str = "auto",
+        competitors: Sequence[int] | None = QueryOptions.competitors,
+        dims: Sequence[int] | None = QueryOptions.dims,
+        method: str = QueryOptions.method,
         det_kernel: str | None = None,
-        epsilon: float = 0.01,
-        delta: float = 0.01,
-        samples: int | None = None,
+        epsilon: float = QueryOptions.epsilon,
+        delta: float = QueryOptions.delta,
+        samples: int | None = QueryOptions.samples,
         seed: object = None,
     ) -> SkylineReport:
         """Restricted query with a ``(dimension, value)``-scoped memo.
@@ -365,33 +365,34 @@ class DynamicSkylineEngine:
         dimension and the opposite value is among its read keys; an
         insert drops only full-pool entries (an explicit competitor
         subset is index-stable under append); a remove drops everything
-        (indices shift).  Sampled answers are never memoised.
+        (indices shift).  Sampled answers are never memoised.  The
+        options are checked before the memo is read; ``det_kernel=None``
+        means the view's kernel.
         """
-        restriction = normalize_restriction(
-            self._dataset, competitors=competitors, dims=dims
+        options = QueryOptions(
+            method=method,
+            det_kernel=self._det_kernel if det_kernel is None else det_kernel,
+            epsilon=epsilon,
+            delta=delta,
+            samples=samples,
+            competitors=competitors,
+            dims=dims,
         )
-        kernel = self._det_kernel if det_kernel is None else det_kernel
+        restriction = normalize_restriction(
+            self._dataset, competitors=options.competitors, dims=options.dims
+        )
         target_values, pool, own = _resolve_pool(
             self._dataset, target, restriction
         )
         identity = ("external" if own is None else "index", target_values)
-        memo_key = (identity, restriction.key, method, kernel)
+        memo_key = (identity, restriction.key, options.method, options.det_kernel)
         entry = self._restricted_memo.get(memo_key)
         if entry is not None:
             self._restricted_hits += 1
             return entry.report
         self._restricted_misses += 1
         report = self._engine.skyline_probability(
-            target,
-            method=method,
-            det_kernel=kernel,
-            cache=self._cache,
-            epsilon=epsilon,
-            delta=delta,
-            samples=samples,
-            seed=seed,
-            competitors=restriction.competitors,
-            dims=restriction.dims,
+            target, seed=seed, cache=self._cache, **options.as_kwargs()
         )
         if report.exact:
             retained = (
@@ -507,7 +508,7 @@ class DynamicSkylineEngine:
         factor reuse; competitors the removed object had absorbed are
         revived by the fresh preprocessing pass.
         """
-        index = self._resolve_index(target)
+        index = self._position(target)
         if len(self._objects) == 1:
             raise DatasetError("cannot remove the last object of the dataset")
         removed = self._objects[index]
@@ -952,22 +953,17 @@ class DynamicSkylineEngine:
             else:
                 counts.pop(value, None)
 
-    def _resolve_index(self, target: int | Sequence[Value]) -> int:
-        if isinstance(target, int):
-            self._check_index(target)
-            return target
+    def _position(self, target: int | Sequence[Value]) -> int:
+        """The position of ``target``: an object's values, or an index by
+        the engine's one index rule (anything else is a
+        :class:`~repro.errors.DatasetError`)."""
+        if isinstance(target, (str, bytes)) or not isinstance(target, Iterable):
+            return _resolve_index(self._dataset, target)
         values = as_object(target)
         try:
             return self._objects.index(values)
         except ValueError:
             raise DatasetError(f"object {values!r} is not in the dataset") from None
-
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < len(self._objects):
-            raise DatasetError(
-                f"object index {index} out of range "
-                f"(dataset holds {len(self._objects)})"
-            )
 
     def _failpoint(self, step: int) -> None:
         """Chaos hook: consult the injector before mutating-step ``step``."""

@@ -34,17 +34,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import repro.obs as obs
-from repro.core.bounds import (
-    hoeffding_error,
-    hoeffding_sample_size,
-    validate_accuracy,
-    validate_robustness,
-)
+from repro.core.bounds import hoeffding_error, hoeffding_sample_size
 from repro.core.dominance import DominanceCache, DominanceFactor, factor_source
 from repro.core.exact import (
-    DEFAULT_DET_KERNEL,
     DEFAULT_MAX_OBJECTS,
-    DET_KERNELS,
     Component,
     ExactResult,
     _component,
@@ -52,6 +45,7 @@ from repro.core.exact import (
 )
 from repro.core.naive import skyline_probability_naive
 from repro.core.objects import Dataset, ObjectValues, Value, as_object
+from repro.core.options import DEADLINE_POLICIES, METHODS, QueryOptions
 from repro.core.preferences import PreferenceModel
 from repro.core.preprocess import (
     PreprocessResult,
@@ -66,20 +60,11 @@ from repro.errors import (
     DeadlineExceededError,
     DimensionalityError,
     ReproError,
-    RobustnessPolicyError,
 )
 from repro.obs import QueryStats, query_stats_from_report
 from repro.util.rng import as_rng
 
 __all__ = ["SkylineProbabilityEngine", "SkylineReport", "METHODS", "DEADLINE_POLICIES"]
-
-METHODS = ("det", "det+", "sam", "sam+", "naive", "auto")
-
-#: What to do when an exact query's wall-clock ``deadline`` expires:
-#: ``"degrade"`` (default) falls back to the ``(ε, δ)``-bounded ``Sam``
-#: estimator and flags the report; ``"raise"`` surfaces
-#: :class:`~repro.errors.DeadlineExceededError` to the caller.
-DEADLINE_POLICIES = ("degrade", "raise")
 
 #: Fewest ``(target, competitor, dimension)`` cells the multi-target form
 #: plans through the tile pass; below it each target is planned alone.
@@ -208,106 +193,36 @@ class SkylineProbabilityEngine:
         self,
         target: int | Sequence[Value],
         *,
-        method: str = "auto",
-        epsilon: float = 0.01,
-        delta: float = 0.01,
-        samples: int | None = None,
         seed: object = None,
-        use_absorption: bool = True,
-        use_partition: bool = True,
-        det_kernel: str = DEFAULT_DET_KERNEL,
         cache: DominanceCache | None = None,
-        deadline: float | None = None,
-        on_deadline: str = "degrade",
-        max_overrun: float | None = None,
-        competitors: Sequence[int] | None = None,
-        dims: Sequence[int] | None = None,
+        **options: object,
     ) -> SkylineReport:
-        """``sky(target)`` by the chosen method.
+        """``sky(target)`` under the query ``options``.
 
         ``target`` is either an index into the dataset or an object (which
         may be outside the dataset — then the whole dataset competes).
+        ``options`` are any of the :class:`~repro.core.options.QueryOptions`
+        — method, accuracy, ablation switches, kernel, deadline policy and
+        restriction — checked before any work.  ``seed`` feeds the
+        sampling methods and a degraded query's fallback; ``cache`` is an
+        optional :class:`~repro.core.dominance.DominanceCache` shared
+        across queries, which never changes the answer.
 
-        ``competitors``/``dims`` restrict the query (see
-        :func:`~repro.core.restricted.restricted_skyline_probabilities`
-        for the shared-pass planner over many restrictions):
-        ``competitors`` names the dataset indices allowed to compete (the
-        target index, when the target is an index, is dropped from its own
-        subset; an empty subset gives ``sky = 1`` exactly) and ``dims``
-        names the dimensions that participate in dominance.  Dimensions
-        outside ``dims`` are neutralised by materialising each competitor
-        with the target's own values there, so every method — including
-        sampling — answers the restricted question unchanged.  A
-        competitor that coincides with the target on every retained
-        dimension is a *projected duplicate* and forces ``sky = 0``
-        exactly, per the duplicate convention.  The restriction key is
-        part of the memo key, so full and restricted answers never
-        collide.
-        ``epsilon``/``delta``/``samples``/``seed`` only matter for the
-        sampling methods; the ``use_*`` switches only for the ``+``/
-        ``auto`` methods (ablation hooks).  ``det_kernel`` picks the
-        Algorithm 1 evaluation kernel (:data:`~repro.core.exact.DET_KERNELS`):
-        the default ``"auto"`` solves each partition with ``"fast"``
-        below 8 dominators (and above ``"vec"``'s 26-object ceiling)
-        and with ``"vec"`` from 8 to 26, so its answer equals
-        ``"reference"`` bit for bit on small partitions and within
-        1e-12 on large ones; ``"fast"``/``"reference"`` are bit-for-bit
-        identical with ``"reference"`` the slower seed transcription
-        kept for differential testing; ``"vec"`` is the NumPy
-        subset-doubling kernel — same provenance counters, probability
-        within 1e-12, much faster on large partitions.  ``cache`` is
-        an optional :class:`~repro.core.dominance.DominanceCache` shared
-        across queries (see :meth:`skyline_probabilities`); it never
-        changes the answer.
-
-        ``deadline`` arms a wall-clock budget (seconds) over the exact
-        inclusion-exclusion enumeration of ``det``/``det+``/``auto``
-        (the problem is #P-complete, so a pathological instance *will*
-        blow any latency target).  On expiry the engine follows
-        ``on_deadline``: ``"degrade"`` (default) answers with the
-        ``(ε, δ)``-bounded ``Sam`` estimator instead — using this query's
-        ``epsilon``/``delta``/``samples``/``seed`` — and returns a report
-        flagged ``degraded=True`` with the reason recorded;
-        ``"raise"`` propagates
-        :class:`~repro.errors.DeadlineExceededError`.  An armed deadline
-        routes ``"fast"`` exact work (including the small partitions
-        ``"auto"`` gives ``"fast"``) through the ``"reference"`` kernel
-        (same bit-for-bit answer, per-term accounting); ``"vec"`` checks
-        the deadline natively between its doubling levels.  ``sam``/
-        ``sam+``/``naive`` have predictable cost and ignore the deadline.
-
-        ``max_overrun`` (requires a ``deadline``-style use, ignored
-        without one) caps how far *past* the expired deadline the
-        degradation fallback itself may run: the ``Sam`` estimator is
-        handed the hard wall-clock ceiling ``deadline + max_overrun`` and
-        truncates its draw loop there (at chunk granularity — see
-        :func:`~repro.core.sampling.skyline_probability_sampled`), so a
-        deadline-armed query can never take more than roughly
-        ``deadline + max_overrun`` seconds even when the fallback's full
-        Hoeffding sample budget would.  A truncated fallback's report
-        states the accuracy its drawn samples actually support, and every
-        degraded report records ``overrun_seconds``.  The default
-        ``None`` keeps the fallback's full ``(ε, δ)`` budget (the
-        pre-serving behaviour): the estimate's accuracy contract is then
-        never silently weakened, at the price of an unbounded tail.
+        A restriction drops an index target from its own competitor
+        subset and neutralises the dimensions outside ``dims`` by
+        materialising each competitor with the target's own values
+        there, so every method — sampling included — answers the
+        restricted question unchanged; a competitor equal to the target
+        on every retained dimension is a *projected duplicate* and forces
+        ``sky = 0`` exactly.  Exact reports are memoised, keyed on the
+        target, the duplicate flag,
+        :attr:`~repro.core.options.QueryOptions.exact_key`, the
+        restriction and the preference model's version.
         """
-        options = dict(
-            method=method,
-            epsilon=epsilon,
-            delta=delta,
-            samples=samples,
-            seed=seed,
-            use_absorption=use_absorption,
-            use_partition=use_partition,
-            det_kernel=det_kernel,
-            cache=cache,
-            deadline=deadline,
-            on_deadline=on_deadline,
-            max_overrun=max_overrun,
-            competitors=competitors,
-            dims=dims,
+        query_options = QueryOptions(**options)
+        query = self._open(
+            target, query_options, self._restriction(query_options), seed, cache
         )
-        query = self._open(target, options)
         cached = self._memoised(query)
         if cached is not None:
             return cached
@@ -315,24 +230,27 @@ class SkylineProbabilityEngine:
         with query:
             components: List[Component] = []
             self._plan(query, components)
-            outcomes = self._exact(components, det_kernel, query.deadline_at)
+            outcomes = self._exact(
+                components, query_options.det_kernel, query.deadline_at
+            )
             report = self._finish(query, outcomes)
         return self._close(query, report)
 
     def _skyline_probability_many(
         self,
         tasks: Sequence[Tuple[int | Sequence[Value], object]],
+        options: QueryOptions,
+        cache: DominanceCache | None,
         *,
         before: Callable[[int], None] | None = None,
         beat: Callable[[], None] | None = None,
         stop_at_error: bool = False,
-        **options: object,
     ) -> List[object]:
         """Answer many ``(target, seed)`` tasks through one exact call.
 
-        The multi-target form of :meth:`skyline_probability`, with every
-        option but the seed shared.  Each task is opened (memo, duplicate
-        rule, method dispatch) in task order; the targets left are
+        The multi-target form of :meth:`skyline_probability`: the tasks
+        share ``options`` and ``cache``.  Each task is opened (memo,
+        duplicate rule, method dispatch) in task order; the targets left are
         planned (the ``det+`` budget error, the exact components), then
         one :func:`~repro.core.exact._solve` call evaluates the exact
         components of all of them — ``"vec"`` components of one key
@@ -365,20 +283,22 @@ class SkylineProbabilityEngine:
         within the tasks is answered after its first occurrence is
         finished, so it is a memo hit whenever that answer is exact.  An
         armed ``deadline`` answers the tasks one at a time, so each
-        deadline starts with its own query.
+        deadline starts with its own query.  A task answered alone goes
+        through :meth:`skyline_probability`, as one query of its own.
         """
         answers: List[object] = [None] * len(tasks)
+        keywords = options.as_kwargs()
 
         def alone(position: int) -> None:
             target, seed = tasks[position]
             try:
                 answers[position] = self.skyline_probability(
-                    target, seed=seed, **options
+                    target, seed=seed, cache=cache, **keywords
                 )
             except Exception as error:
                 answers[position] = error
 
-        if options["deadline"] is not None:
+        if options.deadline is not None:
             for position in range(len(tasks)):
                 if beat is not None:
                     beat()
@@ -416,16 +336,19 @@ class SkylineProbabilityEngine:
 
         dataset = self._dataset
         tiled = (
-            options["method"] in _TILE_METHODS
-            and options["cache"] is not None
+            options.method in _TILE_METHODS
+            and cache is not None
             and len(tasks) * len(dataset) * dataset.dimensionality
             >= _TILE_CROSSOVER
         )
+        restriction = self._restriction(options)
         ahead: Dict[int, object] = {}
         if tiled and stop_at_error:
             # Each planning failure must come out before the next task's
             # failpoint, so the tiles are planned ahead of the tasks.
-            ahead = self._tile_outcomes(self._peek(tasks, options), beat)
+            ahead = self._tile_outcomes(
+                self._peek(tasks, options, restriction, cache), beat
+            )
         deferred: List[Tuple[int, _Query]] = []
         for position, (target, seed) in enumerate(tasks):
             if beat is not None:
@@ -433,7 +356,7 @@ class SkylineProbabilityEngine:
             try:
                 if before is not None:
                     before(position)
-                query = self._open(target, dict(options, seed=seed))
+                query = self._open(target, options, restriction, seed, cache)
                 if query.key in open_keys:
                     repeats.append(position)
                     continue
@@ -471,7 +394,7 @@ class SkylineProbabilityEngine:
 
         outcomes = self._exact(
             components,
-            options["det_kernel"],
+            options.det_kernel,
             progress=None if beat is None else solving,
         )
         for position, query in planned:
@@ -490,7 +413,11 @@ class SkylineProbabilityEngine:
         return answers
 
     def _peek(
-        self, tasks: Sequence[Tuple[int | Sequence[Value], object]], options: dict
+        self,
+        tasks: Sequence[Tuple[int | Sequence[Value], object]],
+        options: QueryOptions,
+        restriction: object,
+        cache: DominanceCache | None,
     ) -> List[Tuple[int, "_Query"]]:
         """The tasks that will need planning, opened without side effects.
 
@@ -501,7 +428,7 @@ class SkylineProbabilityEngine:
         keys = set()
         for position, (target, seed) in enumerate(tasks):
             try:
-                query = self._open(target, dict(options, seed=seed))
+                query = self._open(target, options, restriction, seed, cache)
             except Exception:
                 continue
             if query.key not in keys and query.key not in self._exact_cache:
@@ -550,8 +477,9 @@ class SkylineProbabilityEngine:
 
     def _plan_tile(self, tile: List[Tuple[int, "_Query"]]) -> List[object]:
         """The tile pass's outcome for each query of ``tile``."""
-        options = tile[0][1].options
-        restriction = tile[0][1].restriction
+        first = tile[0][1]
+        options = first.options
+        restriction = first.restriction
         pool: Sequence[int] = range(len(self._dataset))
         dims = None
         if restriction is not None:
@@ -568,36 +496,48 @@ class SkylineProbabilityEngine:
                 [(query.target, query.own) for _, query in tile],
                 pool,
                 dims,
-                options["cache"],
-                method=options["method"],
-                use_absorption=options["use_absorption"],
-                use_partition=options["use_partition"],
+                first.cache,
+                method=options.method,
+                use_absorption=options.use_absorption,
+                use_partition=options.use_partition,
                 max_exact=self._max_exact_objects,
             )
 
-    def _open(self, target: int | Sequence[Value], options: dict) -> "_Query":
-        """Resolve and validate one query; its memo key names the answer."""
-        restriction = None
-        subset, dims = options.get("competitors"), options.get("dims")
-        if subset is not None or dims is not None:
-            # Imported lazily: repro.core.restricted builds SkylineReport
-            # objects, so a top-level import would be circular.
-            from repro.core.restricted import (
-                materialize_competitor,
-                normalize_restriction,
-            )
+    def _restriction(self, options: QueryOptions) -> object:
+        """``options``' normalised restriction, or ``None`` for a full query."""
+        if not options.restricted:
+            return None
+        # Imported lazily: repro.core.restricted builds SkylineReport
+        # objects, so a top-level import would be circular.
+        from repro.core.restricted import normalize_restriction
 
-            restriction = normalize_restriction(
-                self._dataset, competitors=subset, dims=dims
-            )
-            if restriction.is_full:
-                restriction = None  # the full query, just spelled out
+        restriction = normalize_restriction(
+            self._dataset, competitors=options.competitors, dims=options.dims
+        )
+        return None if restriction.is_full else restriction
+
+    def _open(
+        self,
+        target: int | Sequence[Value],
+        options: QueryOptions,
+        restriction: object,
+        seed: object = None,
+        cache: DominanceCache | None = None,
+    ) -> "_Query":
+        """Resolve one query; its memo key names the answer.
+
+        ``restriction`` is ``options``' normalised restriction
+        (:meth:`_restriction`): the options themselves were checked when
+        they were built.
+        """
         target_values, pool, own = _resolve_pool(
             self._dataset, target, restriction
         )
         objects = self._dataset.objects
         competitors = [objects[position] for position in pool]
         if restriction is not None and restriction.dims is not None:
+            from repro.core.restricted import materialize_competitor
+
             # Dimensions outside the subspace take the target's own
             # values, so every method answers the restricted question.
             competitors = [
@@ -607,41 +547,22 @@ class SkylineProbabilityEngine:
         # Also covers projected duplicates (equal on every retained
         # dimension); an external target competes with the whole dataset.
         duplicate = target_values in competitors
-        method = options["method"]
-        if method not in METHODS:
-            raise ReproError(
-                f"unknown method {method!r}; expected one of {METHODS}"
-            )
-        _check_det_kernel(options["det_kernel"])
-        validate_accuracy(options["epsilon"], options["delta"], options["samples"])
-        validate_robustness(
-            deadline=options["deadline"], max_overrun=options["max_overrun"]
-        )
-        if options["on_deadline"] not in DEADLINE_POLICIES:
-            raise RobustnessPolicyError(
-                f"unknown on_deadline policy {options['on_deadline']!r}; "
-                f"expected one of {DEADLINE_POLICIES}"
-            )
         # `duplicate` is part of the key: an index query for object i and
         # an external-object query for the same values are *different*
         # questions (the former excludes object i from the competitors,
-        # the latter answers 0 by the duplicate convention).  The kernel
-        # is part of the key because "vec" answers differ from the
-        # recursive kernels in the last ulps — a memo hit must never
-        # cross kernels.  The restriction key (None for full queries)
-        # keeps restricted answers from ever colliding with full ones.
+        # the latter answers 0 by the duplicate convention).  The
+        # restriction key (None for full queries) keeps restricted
+        # answers from ever colliding with full ones.
         key = (
             target_values,
             duplicate,
-            method,
-            options["use_absorption"],
-            options["use_partition"],
-            options["det_kernel"],
+            *options.exact_key,
             None if restriction is None else restriction.key,
             self._preferences.version,
         )
         return _Query(
-            key, options, target_values, competitors, duplicate, own, restriction
+            key, options, seed, cache, target_values, competitors, duplicate,
+            own, restriction,
         )
 
     def _memoised(self, query: "_Query") -> SkylineReport | None:
@@ -652,7 +573,7 @@ class SkylineProbabilityEngine:
             obs.count(
                 "repro_queries_total",
                 help_text="Engine queries answered, by method and outcome.",
-                method=query.options["method"],
+                method=query.options.method,
                 outcome="memoised",
             )
         return cached
@@ -669,11 +590,11 @@ class SkylineProbabilityEngine:
         which then stand in for its own preprocessing and factor lists.
         """
         options = query.options
-        deadline = options["deadline"]
+        deadline = options.deadline
         query.deadline_at = (
             None if deadline is None else time.monotonic() + deadline
         )
-        cache = options["cache"]
+        cache = query.cache
         competitors = query.competitors
         target_values = query.target
         if tiled is None:
@@ -685,8 +606,8 @@ class SkylineProbabilityEngine:
                     competitors,
                     target_values,
                     preferences=self._preferences,
-                    use_absorption=options["use_absorption"],
-                    use_partition=options["use_partition"],
+                    use_absorption=options.use_absorption,
+                    use_partition=options.use_partition,
                     cache=cache,
                 )
 
@@ -699,7 +620,7 @@ class SkylineProbabilityEngine:
 
         query.plan = _plan_target(
             self._preferences,
-            options["method"],
+            options,
             target_values,
             len(competitors),
             None
@@ -710,11 +631,7 @@ class SkylineProbabilityEngine:
             components,
             duplicate=query.duplicate,
             max_exact=self._max_exact_objects,
-            det_kernel=options["det_kernel"],
-            epsilon=options["epsilon"],
-            delta=options["delta"],
-            samples=options["samples"],
-            seed=options["seed"],
+            seed=query.seed,
             cache=cache,
             forms=forms,
         )
@@ -747,23 +664,9 @@ class SkylineProbabilityEngine:
         try:
             return _finish_target(query.plan, outcomes)
         except DeadlineExceededError as expiry:
-            options = query.options
-            if options["on_deadline"] == "raise":
+            if query.options.on_deadline == "raise":
                 raise
-            return self._degrade_to_sampling(
-                query.competitors,
-                query.target,
-                options["method"],
-                epsilon=options["epsilon"],
-                delta=options["delta"],
-                samples=options["samples"],
-                seed=options["seed"],
-                cache=options["cache"],
-                deadline=options["deadline"],
-                deadline_at=query.deadline_at,
-                max_overrun=options["max_overrun"],
-                expiry=expiry,
-            )
+            return self._degrade_to_sampling(query, expiry)
 
     def _close(self, query: "_Query", report: SkylineReport) -> SkylineReport:
         """Attach ``query``'s stats (obs enabled) and memoise an exact report."""
@@ -790,22 +693,9 @@ class SkylineProbabilityEngine:
         return report
 
     def _degrade_to_sampling(
-        self,
-        competitors: List[ObjectValues],
-        target_values: ObjectValues,
-        method: str,
-        *,
-        epsilon: float,
-        delta: float,
-        samples: int | None,
-        seed: object,
-        cache: DominanceCache | None,
-        deadline: float,
-        deadline_at: float,
-        max_overrun: float | None,
-        expiry: DeadlineExceededError,
+        self, query: "_Query", expiry: DeadlineExceededError
     ) -> SkylineReport:
-        """Answer an over-deadline exact query with ``Sam`` instead.
+        """Answer ``query``, an over-deadline exact query, with ``Sam``.
 
         The estimate carries the caller's ``(ε, δ)`` Hoeffding guarantee
         (Theorem 2) and, given the same ``seed``, is bit-for-bit the
@@ -821,23 +711,25 @@ class SkylineProbabilityEngine:
         ``ε`` to the reason.  ``overrun_seconds`` records the measured
         overrun either way.
         """
-        fallback_deadline_at = (
-            None if max_overrun is None else deadline_at + max_overrun
-        )
+        options = query.options
+        epsilon, delta, samples = options.epsilon, options.delta, options.samples
+        max_overrun = options.max_overrun
         result = skyline_probability_sampled(
             self._preferences,
-            competitors,
-            target_values,
+            query.competitors,
+            query.target,
             epsilon=epsilon,
             delta=delta,
             samples=samples,
-            seed=seed,
-            cache=cache,
-            deadline_at=fallback_deadline_at,
+            seed=query.seed,
+            cache=query.cache,
+            deadline_at=(
+                None if max_overrun is None else query.deadline_at + max_overrun
+            ),
         )
         reason = (
-            f"deadline of {deadline}s expired during exact "
-            f"method {method!r} ({expiry}); degraded to sam with "
+            f"deadline of {options.deadline}s expired during exact "
+            f"method {options.method!r} ({expiry}); degraded to sam with "
             f"epsilon={epsilon}, delta={delta}"
         )
         planned = (
@@ -860,7 +752,7 @@ class SkylineProbabilityEngine:
             samples=result.samples,
             degraded=True,
             degradation_reason=reason,
-            overrun_seconds=max(0.0, time.monotonic() - deadline_at),
+            overrun_seconds=max(0.0, time.monotonic() - query.deadline_at),
         )
 
     def cache_info(self) -> dict:
@@ -894,20 +786,12 @@ class SkylineProbabilityEngine:
     # ------------------------------------------------------------------
     # Dataset-level operators
     # ------------------------------------------------------------------
-    def skyline_probabilities(
-        self,
-        *,
-        method: str = "auto",
-        indices: Sequence[int] | None = None,
-        workers: int | None = 1,
-        cache: DominanceCache | None = None,
-        chunk_size: int | None = None,
-        **query_options: object,
-    ) -> List[float]:
-        """``sky`` for every object (or a subset of indices), in order.
+    def skyline_probabilities(self, **batch_options: object) -> List[float]:
+        """``sky`` for every object (or a subset of ``indices``), in order.
 
-        Answered by the batch planner (:mod:`repro.core.batch`): one
-        shared :class:`~repro.core.dominance.DominanceCache` amortises
+        Answered by the batch planner
+        (:func:`~repro.core.batch.batch_skyline_probabilities`, which
+        takes ``batch_options``): one shared :class:`~repro.core.dominance.DominanceCache` amortises
         preference lookups across all queries, and ``workers`` fans object
         chunks out over a process pool (``workers=None`` uses every core;
         a thread pool is substituted when the model cannot be pickled).
@@ -922,24 +806,12 @@ class SkylineProbabilityEngine:
         """
         from repro.core.batch import batch_skyline_probabilities
 
-        query_options.setdefault("on_error", "raise")
-        result = batch_skyline_probabilities(
-            self,
-            method=method,
-            indices=indices,
-            workers=workers,
-            cache=cache,
-            chunk_size=chunk_size,
-            **query_options,
-        )
+        batch_options.setdefault("on_error", "raise")
+        result = batch_skyline_probabilities(self, **batch_options)
         return list(result.probabilities)
 
     def probabilistic_skyline(
-        self,
-        tau: float,
-        *,
-        method: str = "auto",
-        **query_options: object,
+        self, tau: float, **batch_options: object
     ) -> List[int]:
         """Indices of objects with ``sky ≥ τ`` (the probabilistic skyline).
 
@@ -950,20 +822,14 @@ class SkylineProbabilityEngine:
         """
         if not 0 < tau <= 1:
             raise ReproError(f"threshold tau must lie in (0, 1], got {tau!r}")
-        probabilities = self.skyline_probabilities(method=method, **query_options)
+        probabilities = self.skyline_probabilities(**batch_options)
         return [
             index
             for index, probability in enumerate(probabilities)
             if probability >= tau
         ]
 
-    def top_k(
-        self,
-        k: int,
-        *,
-        method: str = "auto",
-        **query_options: object,
-    ) -> List[Tuple[int, float]]:
+    def top_k(self, k: int, **batch_options: object) -> List[Tuple[int, float]]:
         """The ``k`` objects with the highest skyline probability.
 
         Returns ``(index, probability)`` pairs, descending by probability
@@ -973,19 +839,11 @@ class SkylineProbabilityEngine:
         this to large datasets.
         """
         _check_count("k", k, minimum=1)
-        probabilities = self.skyline_probabilities(method=method, **query_options)
+        probabilities = self.skyline_probabilities(**batch_options)
         ranked = sorted(
             enumerate(probabilities), key=lambda pair: (-pair[1], pair[0])
         )
         return ranked[: min(k, len(ranked))]
-
-
-def _check_det_kernel(det_kernel: object) -> None:
-    """Reject a ``det_kernel`` outside :data:`~repro.core.exact.DET_KERNELS`."""
-    if det_kernel not in DET_KERNELS:
-        raise ReproError(
-            f"unknown det_kernel {det_kernel!r}; expected one of {DET_KERNELS}"
-        )
 
 
 def _check_count(name: str, value: object, *, minimum: int) -> None:
@@ -1085,7 +943,9 @@ class _Query:
     """
 
     key: tuple
-    options: dict
+    options: QueryOptions
+    seed: object
+    cache: DominanceCache | None
     target: ObjectValues
     competitors: List[ObjectValues]
     duplicate: bool
@@ -1104,7 +964,7 @@ class _Query:
         self._stage = obs.stage("query")
         self._stage.__enter__()
         if self.collect:
-            cache = self.options["cache"]
+            cache = self.cache
             self._entered = (
                 time.perf_counter(),
                 0 if cache is None else cache.hits,
@@ -1116,7 +976,7 @@ class _Query:
         if self.collect:
             started, hits, misses = self._entered
             self.seconds += time.perf_counter() - started
-            cache = self.options["cache"]
+            cache = self.cache
             if cache is not None:
                 self.cache_hits += cache.hits - hits
                 self.cache_misses += cache.misses - misses
@@ -1163,7 +1023,7 @@ class _TargetPlan(NamedTuple):
 
 def _solve_target(
     preferences: PreferenceModel,
-    method: str,
+    options: QueryOptions,
     target: ObjectValues,
     count: int,
     factors_of: Callable[[int], Sequence[DominanceFactor]],
@@ -1172,15 +1032,11 @@ def _solve_target(
     *,
     duplicate: bool,
     max_exact: int,
-    det_kernel: str,
-    epsilon: float,
-    delta: float,
-    samples: int | None,
     seed: object,
     cache: DominanceCache | None,
     memo: _ComponentMemo | None = None,
 ) -> SkylineReport:
-    """``sky(target)`` against ``count`` competitors by ``method``.
+    """``sky(target)`` against ``count`` competitors under ``options``.
 
     The one solve behind every planner cell, in three steps: plan
     (:func:`_plan_target`), one exact call over the target's
@@ -1189,22 +1045,24 @@ def _solve_target(
     """
     components: List[Component] = []
     plan = _plan_target(
-        preferences, method, target, count, factors_of, objects_of, prepare,
-        components, duplicate=duplicate, max_exact=max_exact,
-        det_kernel=det_kernel, epsilon=epsilon, delta=delta,
-        samples=samples, seed=seed, cache=cache, memo=memo,
+        preferences, options, target, count, factors_of, objects_of, prepare,
+        components, duplicate=duplicate, max_exact=max_exact, seed=seed,
+        cache=cache, memo=memo,
     )
     outcomes: List[ExactResult | Exception] = []
     if components:
         outcomes = _solve(
-            components, max_objects=max_exact, kernel=det_kernel, deadline_at=None
+            components,
+            max_objects=max_exact,
+            kernel=options.det_kernel,
+            deadline_at=None,
         )
     return _finish_target(plan, outcomes)
 
 
 def _plan_target(
     preferences: PreferenceModel,
-    method: str,
+    options: QueryOptions,
     target: ObjectValues,
     count: int,
     factors_of: Callable[[int], Sequence[DominanceFactor]] | None,
@@ -1214,16 +1072,13 @@ def _plan_target(
     *,
     duplicate: bool,
     max_exact: int,
-    det_kernel: str,
-    epsilon: float,
-    delta: float,
-    samples: int | None,
     seed: object,
     cache: DominanceCache | None,
     memo: _ComponentMemo | None = None,
     forms: Sequence[Component | None] | None = None,
 ) -> SkylineReport | _TargetPlan:
-    """Plan ``sky(target)``: a finished report, or what finishing needs.
+    """Plan ``sky(target)`` by ``options.method``: a finished report, or
+    what finishing needs.
 
     Competitors are named by position: ``factors_of`` gives one's
     dominance factors (Det), ``objects_of`` its values (Sam and naive),
@@ -1241,6 +1096,8 @@ def _plan_target(
     finished.  ``forms`` holds the tile pass's components, one per
     partition (``det``: the one); given them, ``factors_of`` is unused.
     """
+    method = options.method
+    epsilon, delta, samples = options.epsilon, options.delta, options.samples
     if duplicate:
         return SkylineReport(0.0, method, True, duplicate_target=True)
     if method == "naive":
@@ -1296,7 +1153,7 @@ def _plan_target(
             continue
         factor_lists = [factors_of(member) for member in part]
         if memo is not None:
-            key = (tuple(factor_lists), det_kernel)
+            key = (tuple(factor_lists), options.det_kernel)
             known = memo.results.get(key)
             if known is not None:
                 steps.append(known)

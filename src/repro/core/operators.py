@@ -24,6 +24,7 @@ from typing import List, Tuple
 
 from repro.core.bounds import hoeffding_error
 from repro.core.engine import SkylineProbabilityEngine
+from repro.core.options import QueryOptions
 from repro.errors import ReproError
 
 __all__ = [
@@ -85,10 +86,10 @@ def classify_against_threshold(
     engine: SkylineProbabilityEngine,
     tau: float,
     *,
-    method: str = "auto",
-    epsilon: float = 0.01,
-    delta: float = 0.01,
-    samples: int | None = None,
+    method: str = QueryOptions.method,
+    epsilon: float = QueryOptions.epsilon,
+    delta: float = QueryOptions.delta,
+    samples: int | None = QueryOptions.samples,
     seed: object = None,
 ) -> ThresholdClassification:
     """Classify every object of the engine's dataset against ``τ``.

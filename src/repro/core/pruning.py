@@ -95,15 +95,16 @@ def top_k_pruned(
     preferences: PreferenceModel,
     k: int,
     *,
-    method: str = "auto",
     engine: SkylineProbabilityEngine | None = None,
     **query_options: object,
 ) -> TopKResult:
     """The ``k`` highest-probability objects, refining as few as possible.
 
     Phase 1 computes the O(n·d) bound pair for every object and sorts by
-    upper bound.  Phase 2 walks that order, refining with the engine's
-    ``method`` and stopping as soon as the next upper bound cannot beat
+    upper bound.  Phase 2 walks that order, refining with engine queries
+    under ``query_options`` (any of the
+    :class:`~repro.core.options.QueryOptions`, ``seed`` and ``cache``)
+    and stopping as soon as the next upper bound cannot beat
     the current k-th best refined probability — every remaining object is
     pruned.  With an exact refinement method the result equals
     :meth:`SkylineProbabilityEngine.top_k` (sampling methods rank within
@@ -129,9 +130,7 @@ def top_k_pruned(
         if len(refined) >= k and upper < kth_best:
             break  # nothing later can enter the top k
         examined += 1
-        probability = engine.skyline_probability(
-            index, method=method, **query_options
-        ).probability
+        probability = engine.skyline_probability(index, **query_options).probability
         refined.append((index, probability))
         refined.sort(key=lambda pair: (-pair[1], pair[0]))
         if len(refined) >= k:

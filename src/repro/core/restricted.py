@@ -41,24 +41,20 @@ the serve tier buckets coalesced requests on the restriction key.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.bounds import validate_accuracy
 from repro.core.dominance import DominanceCache, DominanceFactor, factor_source
 from repro.core.engine import (
-    METHODS,
     SkylineProbabilityEngine,
     SkylineReport,
-    _check_det_kernel,
     _ComponentMemo,
     _resolve_index,
     _resolve_pool,
     _solve_target,
 )
-from repro.core.exact import DEFAULT_DET_KERNEL
 from repro.core.objects import Dataset, ObjectValues, Value, as_object
+from repro.core.options import QueryOptions, _index_tuple
 from repro.core.preprocess import _preprocess_keys, _split_possible
 from repro.errors import DimensionalityError, ReproError
 
@@ -116,37 +112,29 @@ def normalize_restriction(
     otherwise) and are handled the same way, except that an empty
     subspace is rejected: with no dimensions left, dominance is vacuous
     in a way the paper's model never defines, so it is an error rather
-    than a silent 1.0.
+    than a silent 1.0.  The integer and sorting part is
+    :class:`~repro.core.options.QueryOptions`' own; this adds the
+    ranges, which need the dataset.
     """
-    cardinality = len(dataset)
-    dimensionality = dataset.dimensionality
-    competitor_key: Tuple[int, ...] | None = None
-    if competitors is not None:
-        seen = {_resolve_index(dataset, position) for position in competitors}
-        competitor_key = tuple(sorted(seen))
-        if len(competitor_key) == cardinality:
+    competitor_key = _index_tuple("competitors", competitors)
+    if competitor_key is not None:
+        for position in competitor_key:
+            _resolve_index(dataset, position)
+        if len(competitor_key) == len(dataset):
             competitor_key = None
-    dim_key: Tuple[int, ...] | None = None
-    if dims is not None:
-        chosen = set()
-        for dimension in dims:
-            try:
-                index = operator.index(dimension)
-            except TypeError:
-                raise DimensionalityError(
-                    f"dimension {dimension!r} is not an integer"
-                ) from None
+    dim_key = _index_tuple("dims", dims)
+    if dim_key is not None:
+        if not dim_key:
+            raise ReproError(
+                "a restriction's dimension subspace must not be empty"
+            )
+        dimensionality = dataset.dimensionality
+        for index in dim_key:
             if not 0 <= index < dimensionality:
                 raise DimensionalityError(
                     f"dimension {index} outside the space "
                     f"(dimensionality {dimensionality})"
                 )
-            chosen.add(index)
-        if not chosen:
-            raise ReproError(
-                "a restriction's dimension subspace must not be empty"
-            )
-        dim_key = tuple(sorted(chosen))
         if len(dim_key) == dimensionality:
             dim_key = None
     return Restriction(competitor_key, dim_key)
@@ -261,12 +249,12 @@ def restricted_skyline_probabilities(
     competitors: Sequence[int] | None = None,
     dims: Sequence[int] | None = None,
     restrictions: Sequence[object] | None = None,
-    method: str = "auto",
-    epsilon: float = 0.01,
-    delta: float = 0.01,
-    samples: int | None = None,
+    method: str = QueryOptions.method,
+    epsilon: float = QueryOptions.epsilon,
+    delta: float = QueryOptions.delta,
+    samples: int | None = QueryOptions.samples,
     seed: object = None,
-    det_kernel: str = DEFAULT_DET_KERNEL,
+    det_kernel: str = QueryOptions.det_kernel,
     cache: DominanceCache | None = None,
     share_pass: bool = True,
 ) -> RestrictedResult:
@@ -289,10 +277,11 @@ def restricted_skyline_probabilities(
         :class:`Restriction` objects.  Every target is answered under
         every restriction.
     method, epsilon, delta, samples, det_kernel:
-        As on :meth:`~repro.core.engine.SkylineProbabilityEngine.skyline_probability`.
-        The default ``det_kernel="auto"`` routes each sliced component
-        by its dominator count, exactly as the engine does, so the
-        shared pass still equals ``share_pass=False`` bit for bit.
+        The query options (:class:`~repro.core.options.QueryOptions`)
+        the planner takes, checked before any work.  The default
+        ``det_kernel="auto"`` routes each sliced component by its
+        dominator count, exactly as the engine does, so the shared pass
+        still equals ``share_pass=False`` bit for bit.
     seed:
         Root seed for the sampling methods.  Per-item seeds are spawned
         exactly as the batch planner spawns them
@@ -321,12 +310,13 @@ def restricted_skyline_probabilities(
         engine = inner
     dataset = engine.dataset
     preferences = engine.preferences
-    if method not in METHODS:
-        raise ReproError(
-            f"unknown method {method!r}; expected one of {METHODS}"
-        )
-    _check_det_kernel(det_kernel)
-    validate_accuracy(epsilon, delta, samples)
+    options = QueryOptions(
+        method=method,
+        epsilon=epsilon,
+        delta=delta,
+        samples=samples,
+        det_kernel=det_kernel,
+    )
     restriction_list = _normalize_restriction_specs(
         dataset, competitors, dims, restrictions
     )
@@ -335,24 +325,23 @@ def restricted_skyline_probabilities(
         raise ReproError("targets must name at least one target")
     seeds = iter(
         spawn_batch_seeds(
-            method, len(target_list) * len(restriction_list), seed=seed
+            options.method, len(target_list) * len(restriction_list), seed=seed
         )
     )
 
     if not share_pass:
+        keywords = options.as_kwargs()
         rows = tuple(
             tuple(
                 engine.skyline_probability(
                     target,
-                    method=method,
-                    epsilon=epsilon,
-                    delta=delta,
-                    samples=samples,
                     seed=next(seeds),
-                    det_kernel=det_kernel,
                     cache=cache,
-                    competitors=restriction.competitors,
-                    dims=restriction.dims,
+                    **dict(
+                        keywords,
+                        competitors=restriction.competitors,
+                        dims=restriction.dims,
+                    ),
                 )
                 for restriction in restriction_list
             )
@@ -406,7 +395,7 @@ def restricted_skyline_probabilities(
             row.append(
                 _solve_target(
                     preferences,
-                    method,
+                    options,
                     target_values,
                     len(pool),
                     sliced.__getitem__,
@@ -421,10 +410,6 @@ def restricted_skyline_probabilities(
                     # An empty slice is a projected duplicate.
                     duplicate=not all(sliced),
                     max_exact=engine.max_exact_objects,
-                    det_kernel=det_kernel,
-                    epsilon=epsilon,
-                    delta=delta,
-                    samples=samples,
                     seed=next(seeds),
                     cache=cache,
                     memo=memo,

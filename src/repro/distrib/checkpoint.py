@@ -33,6 +33,7 @@ import pickle
 from pathlib import Path
 from typing import Dict, Tuple
 
+from repro.core.options import QueryOptions
 from repro.errors import (
     CheckpointCorruptionError,
     CheckpointMismatchError,
@@ -48,23 +49,28 @@ def run_fingerprint(
     *,
     dataset: object,
     preferences: object,
-    method: str,
+    options: QueryOptions,
     index_list: Tuple[int, ...],
     seed: object,
-    query_options: Dict[str, object],
     shard_plan: Tuple[Tuple[int, ...], ...],
 ) -> str:
     """Stable digest identifying one batch computation end to end.
 
     Everything that can change an answer (or move it between shards)
     feeds the hash: the object values themselves, the preference model's
-    version counter, the method and its options, the seed, the queried
+    version counter, the query ``options``, the seed, the queried
     index list and the shard plan.  Seeds are fingerprinted by ``repr``
     — integers and ``None`` round-trip exactly; passing a live
     ``Generator`` object makes the fingerprint unique to this run, which
     correctly refuses a resume (the stream state could not be replayed
-    anyway).
+    anyway).  An unrestricted run leaves the restriction out, so it keeps
+    the fingerprint it had before runs could be restricted and its older
+    checkpoints still resume.
     """
+    query_options = options.as_kwargs()
+    method = query_options.pop("method")
+    if not options.restricted:
+        del query_options["competitors"], query_options["dims"]
     objects = tuple(tuple(values) for values in getattr(dataset, "objects", ()))
     payload = {
         "objects": repr(objects),

@@ -24,7 +24,9 @@ dispatches inside one pool; the coordinator additionally survives:
   re-dispatches at ``max_shard_retries``; the final dispatch runs in
   salvage mode (per-object :class:`~repro.core.batch.BatchFailure`
   records), and a shard that cannot even do that degrades to salvaged
-  failure records for all its objects instead of failing the run;
+  failure records for all its objects instead of failing the run.  A
+  deterministic :class:`~repro.errors.ReproError` is never retried, as
+  in the batch planner: its shard goes straight to the salvage dispatch;
 * **coordinator death** — completed shards are appended to a versioned
   JSONL checkpoint (:mod:`repro.distrib.checkpoint`); a restarted
   coordinator pointed at the same checkpoint resumes from the last
@@ -60,19 +62,12 @@ from repro.core.batch import (
     plan_shards,
     spawn_batch_seeds,
 )
-from repro.core.bounds import validate_accuracy, validate_robustness
-from repro.core.engine import (
-    DEADLINE_POLICIES,
-    METHODS,
-    SkylineProbabilityEngine,
-    _check_det_kernel,
-    _resolve_indices,
-)
-from repro.core.exact import DEFAULT_DET_KERNEL
+from repro.core.bounds import validate_robustness
+from repro.core.engine import SkylineProbabilityEngine, _resolve_indices
+from repro.core.options import QueryOptions
 from repro.errors import (
     CoordinatorAbortedError,
     DistribError,
-    ReproError,
     RobustnessPolicyError,
     ShardFailedError,
 )
@@ -208,6 +203,7 @@ class _ShardState:
     seconds: float = 0.0
     payload: Optional[ShardPayload] = None
     last_error: Optional[Tuple[str, str]] = None
+    deterministic: bool = False
 
 
 @dataclass
@@ -315,28 +311,23 @@ class ShardCoordinator:
     def run(
         self,
         *,
-        method: str = "auto",
         indices: Sequence[int] | None = None,
-        epsilon: float = 0.01,
-        delta: float = 0.01,
-        samples: int | None = None,
         seed: object = None,
         seeds: Sequence[object] | None = None,
-        use_absorption: bool = True,
-        use_partition: bool = True,
-        det_kernel: str = DEFAULT_DET_KERNEL,
-        deadline: float | None = None,
-        on_deadline: str = "degrade",
-        max_overrun: float | None = None,
         fault_injector: object = None,
         abort_after_shards: int | None = None,
+        **options: object,
     ) -> DistribResult:
         """Compute the sharded batch under supervision.
 
-        The query arguments mirror
-        :func:`~repro.core.batch.batch_skyline_probabilities` exactly
-        (they are forwarded to the same per-object query path inside the
-        workers).  ``abort_after_shards`` is the crash-atomicity
+        ``options`` are the batch planner's full set of
+        :class:`~repro.core.options.QueryOptions`, restriction included;
+        they, the restriction's ranges and ``indices`` are checked before
+        any worker starts, and the workers answer through the batch
+        planner's chunk runner.  ``indices``, ``seed``, ``seeds`` and
+        ``fault_injector`` mean what they mean to
+        :func:`~repro.core.batch.batch_skyline_probabilities`.
+        ``abort_after_shards`` is the crash-atomicity
         failpoint: the coordinator raises
         :class:`~repro.errors.CoordinatorAbortedError` immediately after
         that many shards of *this* run have been durably checkpointed —
@@ -345,23 +336,11 @@ class ShardCoordinator:
         """
         engine = self._engine
         config = self._config
-        if method not in METHODS:
-            raise ReproError(
-                f"unknown method {method!r}; expected one of {METHODS}"
-            )
-        _check_det_kernel(det_kernel)
-        validate_accuracy(epsilon, delta, samples)
+        query = QueryOptions(**options)
+        engine._restriction(query)  # the restriction's ranges, before any worker
         validate_robustness(
-            deadline=deadline,
-            max_retries=config.max_shard_retries,
-            backoff=config.backoff,
-            max_overrun=max_overrun,
+            max_retries=config.max_shard_retries, backoff=config.backoff
         )
-        if on_deadline not in DEADLINE_POLICIES:
-            raise RobustnessPolicyError(
-                f"unknown on_deadline policy {on_deadline!r}; expected one "
-                f"of {DEADLINE_POLICIES}"
-            )
         if fault_injector is not None and not callable(
             getattr(fault_injector, "before_task", None)
         ):
@@ -374,19 +353,8 @@ class ShardCoordinator:
         n = len(index_list)
         collect = obs.is_enabled()
         started = time.perf_counter()
-        query_options = dict(
-            epsilon=epsilon,
-            delta=delta,
-            samples=samples,
-            use_absorption=use_absorption,
-            use_partition=use_partition,
-            det_kernel=det_kernel,
-            deadline=deadline,
-            on_deadline=on_deadline,
-            max_overrun=max_overrun,
-        )
         if n == 0:
-            batch = BatchResult((), (), method, config.workers)
+            batch = BatchResult((), (), query.method, config.workers)
             stats = DistribStats(wall_seconds=time.perf_counter() - started)
             return DistribResult(
                 batch, (), config.workers, stats, checkpoint=config.checkpoint
@@ -402,15 +370,14 @@ class ShardCoordinator:
             max_shard_objects=config.max_shard_objects,
         )
         seed_list = spawn_batch_seeds(
-            method, n, seed=seed, seeds=seeds, deadline=deadline
+            query.method, n, seed=seed, seeds=seeds, deadline=query.deadline
         )
         run = _SupervisedRun(
             coordinator=self,
-            method=method,
+            options=query,
             index_list=index_list,
             seed_list=seed_list,
             shards=shards,
-            query_options=query_options,
             fault_injector=fault_injector,
             seed=seed,
             collect=collect,
@@ -419,7 +386,7 @@ class ShardCoordinator:
         outcome = run.execute()
         wall = time.perf_counter() - started
         return self._assemble(
-            run, outcome, method, index_list, collect, wall
+            run, outcome, query.method, index_list, collect, wall
         )
 
     # ------------------------------------------------------------------
@@ -516,11 +483,10 @@ class _SupervisedRun:
         self,
         *,
         coordinator: ShardCoordinator,
-        method: str,
+        options: QueryOptions,
         index_list: List[int],
         seed_list: List[object],
         shards: Tuple[Shard, ...],
-        query_options: Dict[str, object],
         fault_injector: object,
         seed: object,
         collect: bool,
@@ -528,9 +494,8 @@ class _SupervisedRun:
     ) -> None:
         self._engine = coordinator.engine
         self._config = coordinator.config
-        self._method = method
+        self._options = options
         self._index_list = index_list
-        self._query_options = query_options
         self._fault_injector = fault_injector
         self._seed = seed
         self._collect = collect
@@ -571,10 +536,9 @@ class _SupervisedRun:
         self._fingerprint = run_fingerprint(
             dataset=self._engine.dataset,
             preferences=self._engine.preferences,
-            method=self._method,
+            options=self._options,
             index_list=tuple(self._index_list),
             seed=self._seed,
-            query_options=self._query_options,
             shard_plan=shard_plan,
         )
         self._store = CheckpointStore(config.checkpoint)
@@ -605,7 +569,7 @@ class _SupervisedRun:
             self._store.write_header(
                 self._fingerprint,
                 {
-                    "method": self._method,
+                    "method": self._options.method,
                     "objects": len(self._index_list),
                     "shards": len(self._states),
                     "workers": self._config.workers,
@@ -639,8 +603,7 @@ class _SupervisedRun:
                 self._engine.dataset,
                 self._engine.preferences,
                 self._engine.max_exact_objects,
-                self._method,
-                self._query_options,
+                self._options,
                 self._fault_injector,
                 self._config.task_retries,
                 self._config.backoff,
@@ -683,9 +646,9 @@ class _SupervisedRun:
         state = self._states[shard_id]
         state.dispatches += 1
         dispatch = state.dispatches
-        salvage = (
-            self._config.on_error == "salvage"
-            and state.failures >= self._config.max_shard_retries
+        salvage = self._config.on_error == "salvage" and (
+            state.deterministic
+            or state.failures >= self._config.max_shard_retries
         )
         task = ShardTask(
             shard_id=shard_id,
@@ -764,19 +727,37 @@ class _SupervisedRun:
 
     # -- failure handling ----------------------------------------------
     def _shard_attempt_failed(
-        self, shard_id: int, error_type: str, message: str, now: float
+        self,
+        shard_id: int,
+        error_type: str,
+        message: str,
+        now: float,
+        deterministic: bool = False,
     ) -> None:
+        """Count one failed dispatch and decide the shard's next step.
+
+        A ``deterministic`` failure (a :class:`~repro.errors.ReproError`
+        from the queries themselves) is never retried, as in the batch
+        planner: under ``on_error="raise"`` it fails the run at once,
+        otherwise the shard's next dispatch, without backoff, is its
+        salvage dispatch.  Other failures are re-dispatched with capped
+        backoff; past ``max_shard_retries`` the circuit breaker trips.
+        """
         state = self._states[shard_id]
         if state.done:
             return
         state.failures += 1
         state.last_error = (error_type, message)
+        state.deterministic = state.deterministic or deterministic
         if self._active_dispatches(shard_id):
             # A twin (hedge) is still running this shard; let it race the
             # retry budget before burning another dispatch.
             return
-        if state.failures > self._config.max_shard_retries:
-            if self._config.on_error == "raise":
+        raising = self._config.on_error == "raise"
+        if state.failures > self._config.max_shard_retries or (
+            raising and state.deterministic
+        ):
+            if raising:
                 self._fatal = ShardFailedError(
                     f"shard {shard_id} failed permanently after "
                     f"{state.dispatches} dispatches: {error_type}: {message}",
@@ -790,7 +771,7 @@ class _SupervisedRun:
         backoff = self._config.backoff
         delay = (
             min(backoff * (2.0 ** (state.failures - 1)), _BACKOFF_CAP)
-            if backoff > 0.0
+            if backoff > 0.0 and not state.deterministic
             else 0.0
         )
         state.next_eligible = now + delay
@@ -872,10 +853,12 @@ class _SupervisedRun:
             duration = now - handle.dispatched_at if was_running else None
             self._complete_shard(shard_id, payload, now, duration=duration)
         elif tag == MSG_ERROR:
-            _, _, shard_id, _, error_type, text = message
+            _, _, shard_id, _, error_type, text, deterministic = message
             handle.shard_id = None
             handle.last_beat = now
-            self._shard_attempt_failed(shard_id, error_type, text, now)
+            self._shard_attempt_failed(
+                shard_id, error_type, text, now, deterministic
+            )
 
     # -- reapers -------------------------------------------------------
     def _reap_dead(self, now: float) -> None:

@@ -18,7 +18,13 @@ Worker → coordinator::
     (MSG_READY, worker_id)                                # once, on start
     (MSG_BEAT, worker_id, shard_id, done, total)          # liveness/progress
     (MSG_RESULT, worker_id, shard_id, dispatch, payload)  # ShardPayload
-    (MSG_ERROR, worker_id, shard_id, dispatch, type, msg) # dispatch failed
+    (MSG_ERROR, worker_id, shard_id, dispatch, type, msg, deterministic)
+                                                          # dispatch failed
+
+``deterministic`` is ``True`` when the error is a
+:class:`~repro.errors.ReproError`: the batch planner never retries one
+(re-running the same computation cannot change its outcome), and
+neither does the coordinator.
 """
 
 from __future__ import annotations

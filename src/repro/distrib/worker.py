@@ -32,7 +32,9 @@ Determinism notes, because they carry the whole fault-tolerance story:
 Failures inside a dispatch follow the planner's policy: transient
 exceptions are retried in-worker with capped backoff; with
 ``salvage=False`` a persistent failure aborts the dispatch (reported as
-``MSG_ERROR`` for the coordinator's shard-level retry/backoff loop);
+``MSG_ERROR`` for the coordinator's shard-level retry/backoff loop,
+flagged when it is a deterministic :class:`~repro.errors.ReproError`,
+which no re-dispatch can heal);
 with ``salvage=True`` — the circuit-breaker's final attempt — each
 failing object degrades to a structured
 :class:`~repro.core.batch.BatchFailure` while the rest of the shard
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
 import repro.obs as obs
 
@@ -56,6 +58,8 @@ import repro.obs as obs
 from repro.core.batch import BatchFailure, _run_chunk_inprocess
 from repro.core.dominance import DominanceCache
 from repro.core.engine import SkylineProbabilityEngine
+from repro.core.options import QueryOptions
+from repro.errors import ReproError
 from repro.distrib.protocol import (
     MSG_BEAT,
     MSG_ERROR,
@@ -100,8 +104,7 @@ def execute_shard(
     dataset: object,
     preferences: object,
     max_exact_objects: int,
-    method: str,
-    query_options: Dict[str, object],
+    options: QueryOptions,
     fault_injector: object,
     task_retries: int,
     backoff: float,
@@ -134,8 +137,7 @@ def execute_shard(
     outcomes = _run_chunk_inprocess(
         engine,
         cache,
-        method,
-        query_options,
+        options,
         injector,
         list(task.tasks),
         attempts_done=0,
@@ -166,8 +168,7 @@ def worker_main(
     dataset: object,
     preferences: object,
     max_exact_objects: int,
-    method: str,
-    query_options: Dict[str, object],
+    options: QueryOptions,
     fault_injector: object,
     task_retries: int,
     backoff: float,
@@ -202,8 +203,7 @@ def worker_main(
                     dataset=dataset,
                     preferences=preferences,
                     max_exact_objects=max_exact_objects,
-                    method=method,
-                    query_options=query_options,
+                    options=options,
                     fault_injector=fault_injector,
                     task_retries=task_retries,
                     backoff=backoff,
@@ -228,6 +228,7 @@ def worker_main(
                             task.dispatch,
                             type(error).__name__,
                             str(error),
+                            isinstance(error, ReproError),
                         )
                     )
                 except (BrokenPipeError, OSError):

@@ -45,7 +45,7 @@ import numpy as np
 import repro.obs as obs
 from repro.core.batch import batch_skyline_probabilities
 from repro.core.engine import SkylineReport
-from repro.core.exact import DEFAULT_DET_KERNEL
+from repro.core.options import FIELDS, QueryOptions
 from repro.errors import (
     AdmissionRejectedError,
     DatasetError,
@@ -60,42 +60,13 @@ __all__ = [
     "spawn_request_seed",
 ]
 
-#: Query options a coalesced batch must share — together they form the
-#: bucket key: two queries coalesce iff every one of these matches.
-COALESCE_OPTION_FIELDS = (
-    "method",
-    "epsilon",
-    "delta",
-    "samples",
-    "use_absorption",
-    "use_partition",
-    "det_kernel",
-    "deadline",
-    "on_deadline",
-    "max_overrun",
-    "competitors",
-    "dims",
-)
-
-#: Fields whose values are restriction sequences: normalised to sorted
-#: tuples before keying, so a JSON list and a tuple bucket identically
-#: and a restricted query can never share a bucket with a full one.
-_SEQUENCE_FIELDS = ("competitors", "dims")
-
-_OPTION_DEFAULTS: Dict[str, object] = {
-    "method": "auto",
-    "epsilon": 0.01,
-    "delta": 0.01,
-    "samples": None,
-    "use_absorption": True,
-    "use_partition": True,
-    "det_kernel": DEFAULT_DET_KERNEL,
-    "deadline": None,
-    "on_deadline": "degrade",
-    "max_overrun": None,
-    "competitors": None,
-    "dims": None,
-}
+#: Query options a coalesced batch must share: the fields of
+#: :class:`~repro.core.options.QueryOptions`, whose ``key`` is the
+#: bucket key — two queries coalesce iff every one of these matches.  A
+#: restriction is held as a sorted tuple, so a JSON list and a tuple
+#: bucket identically and a restricted query never shares a bucket with
+#: a full one.
+COALESCE_OPTION_FIELDS = FIELDS
 
 #: Batch-size histogram buckets (requests per coalesced batch).
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
@@ -196,7 +167,7 @@ class QueryCoalescer:
             max_workers=1, thread_name_prefix="repro-serve-engine"
         )
         self._trace = trace
-        self._buckets: Dict[tuple, List[_Pending]] = {}
+        self._buckets: Dict[tuple, Tuple[QueryOptions, List[_Pending]]] = {}
         self._timers: Dict[tuple, asyncio.Task] = {}
         self._batches: set = set()
         self._pending = 0
@@ -221,11 +192,11 @@ class QueryCoalescer:
         ``options`` may set any of :data:`COALESCE_OPTION_FIELDS`;
         queries sharing all of them merge into one batch.  Raises
         :class:`~repro.errors.AdmissionRejectedError` over the pending
-        bound, :class:`~repro.errors.ServingError` while draining, and
-        whatever the engine raises for the query itself (a request with
-        a stale index fails alone; a deterministic option error applies
-        to — and is reported to — every request of the bucket, which by
-        construction shares those options).
+        bound, :class:`~repro.errors.ServingError` while draining or for
+        an unknown option name, the error a direct query raises for a
+        bad option value — at once, before the request joins a bucket —
+        and whatever the engine raises for the query itself (a request
+        with a stale index fails alone).
         """
         if self._closed:
             raise ServingError(
@@ -242,10 +213,13 @@ class QueryCoalescer:
             raise ServingError(
                 f"query target must be an object index (integer), got {index!r}"
             )
-        key = self._option_key(options)
+        query = self._options(options)
+        key = query.key
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        bucket = self._buckets.setdefault(key, [])
+        if key not in self._buckets:
+            self._buckets[key] = (query, [])
+        bucket = self._buckets[key][1]
         bucket.append((index, spawn_request_seed(seed), seed, future))
         self._pending += 1
         if len(bucket) >= self._max_batch:
@@ -271,41 +245,26 @@ class QueryCoalescer:
             self._executor.shutdown(wait=True)
 
     # ------------------------------------------------------------------
-    def _option_key(self, options: Dict[str, object]) -> tuple:
+    @staticmethod
+    def _options(options: Dict[str, object]) -> QueryOptions:
+        """A request's options, checked as a direct query checks them."""
         unknown = set(options) - set(COALESCE_OPTION_FIELDS)
         if unknown:
             raise ServingError(
                 f"unknown query option(s) {sorted(unknown)}; supported "
                 f"options are {list(COALESCE_OPTION_FIELDS)}"
             )
-        merged = dict(_OPTION_DEFAULTS)
-        merged.update(options)
-        for field in _SEQUENCE_FIELDS:
-            value = merged[field]
-            if value is None:
-                continue
-            try:
-                merged[field] = tuple(sorted(set(value)))
-            except TypeError:
-                raise ServingError(
-                    f"query option {field!r} must be a sequence of "
-                    f"integers or null, got {value!r}"
-                ) from None
-        key = tuple(merged[field] for field in COALESCE_OPTION_FIELDS)
         try:
-            hash(key)
-        except TypeError:
-            raise ServingError(
-                f"query options must be hashable scalars, got {merged!r}"
-            ) from None
-        return key
+            return QueryOptions(**options)
+        except TypeError as error:  # a restriction that is not a sequence
+            raise ServingError(str(error)) from None
 
     async def _flush_after_window(self, key: tuple) -> None:
         await asyncio.sleep(self._window)
         self._launch(key)
 
     def _launch(self, key: tuple) -> None:
-        bucket = self._buckets.pop(key, None)
+        options, bucket = self._buckets.pop(key, (None, None))
         timer = self._timers.pop(key, None)
         if (
             timer is not None
@@ -315,12 +274,15 @@ class QueryCoalescer:
             timer.cancel()
         if not bucket:
             return
-        task = asyncio.get_running_loop().create_task(self._execute(key, bucket))
+        task = asyncio.get_running_loop().create_task(
+            self._execute(options, bucket)
+        )
         self._batches.add(task)
         task.add_done_callback(self._batches.discard)
 
-    async def _execute(self, key: tuple, bucket: List[_Pending]) -> None:
-        options = dict(zip(COALESCE_OPTION_FIELDS, key))
+    async def _execute(
+        self, options: QueryOptions, bucket: List[_Pending]
+    ) -> None:
         loop = asyncio.get_running_loop()
         try:
             outcomes = await loop.run_in_executor(
@@ -339,7 +301,7 @@ class QueryCoalescer:
                 future.set_result(outcome)
 
     def _run_batch(
-        self, options: Dict[str, object], bucket: List[_Pending]
+        self, options: QueryOptions, bucket: List[_Pending]
     ) -> List[object]:
         """Execute one bucket on the engine thread; one outcome per slot.
 
@@ -366,6 +328,7 @@ class QueryCoalescer:
         if valid:
             indices = [bucket[position][0] for position in valid]
             seeds = [bucket[position][1] for position in valid]
+            keywords = options.as_kwargs()
             try:
                 result = batch_skyline_probabilities(
                     engine,
@@ -374,11 +337,12 @@ class QueryCoalescer:
                     workers=1,
                     cache=getattr(engine, "cache", None),
                     on_error="raise",
-                    **options,
+                    **keywords,
                 )
             except ReproError as error:
                 # The bucket shares every query option, so a
-                # deterministic error applies to each of its requests.
+                # deterministic error (a restriction out of range) applies
+                # to each of its requests.
                 for position in valid:
                     outcomes[position] = error
             else:
@@ -389,7 +353,7 @@ class QueryCoalescer:
                     self._trace.append(
                         {
                             "kind": "query",
-                            "options": dict(options),
+                            "options": keywords,
                             "indices": list(indices),
                             "seeds": [
                                 bucket[position][2] for position in valid

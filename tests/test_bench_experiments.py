@@ -120,3 +120,19 @@ class TestShapes:
         # ... on component sizes from both sides of the crossover
         sizes = table.column("dominators")
         assert min(sizes) < VEC_CROSSOVER <= max(sizes)
+
+
+def test_every_experiment_has_committed_results_and_no_results_are_orphans():
+    # Each registered experiment's full-scale output is committed as
+    # results/<id>.json and results/<id>.md; a results file whose
+    # experiment left the registry is an orphan.
+    from pathlib import Path
+
+    results = Path(__file__).resolve().parent.parent / "results"
+    ids = {experiment.experiment_id for experiment in all_experiments()}
+    committed = {
+        path.name for path in results.iterdir() if path.suffix in (".json", ".md")
+    }
+    expected = {f"{name}{suffix}" for name in ids for suffix in (".json", ".md")}
+    assert sorted(expected - committed) == []
+    assert sorted(committed - expected) == []

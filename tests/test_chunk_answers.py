@@ -179,6 +179,7 @@ class TestShardHeartbeats:
     N = 12
 
     def _run(self, kernel, injector, beat, *, salvage=False, retries=2):
+        from repro.core.options import QueryOptions
         from repro.data.uniform import uniform_dataset
         from repro.distrib.protocol import ShardTask
         from repro.distrib.worker import execute_shard
@@ -195,8 +196,7 @@ class TestShardHeartbeats:
             dataset=uniform_dataset(self.N, 3, seed=7),
             preferences=HashedPreferenceModel(3, seed=71),
             max_exact_objects=25,
-            method="det",
-            query_options=dict(_QUERY_OPTIONS, det_kernel=kernel),
+            options=QueryOptions(method="det", det_kernel=kernel, **_QUERY_OPTIONS),
             fault_injector=injector,
             task_retries=retries,
             backoff=0.0,

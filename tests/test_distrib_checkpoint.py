@@ -236,6 +236,66 @@ class TestMismatch:
         assert len(result.batch.reports) == 12
 
 
+class TestFingerprintPins:
+    """An unrestricted run keeps the fingerprint it had before runs could
+    be restricted, so its older checkpoints still resume; a restriction
+    changes the fingerprint."""
+
+    @staticmethod
+    def _fingerprint(engine, path, **options):
+        ShardCoordinator(
+            engine, DistribConfig(workers=1, checkpoint=str(path))
+        ).run(**options)
+        return json.loads(path.read_text().splitlines()[0])["fingerprint"]
+
+    def test_running_example_fingerprint_is_pinned(self, tmp_path):
+        from repro.data.examples import running_example
+
+        engine = SkylineProbabilityEngine(*running_example())
+        assert self._fingerprint(engine, tmp_path / "run.ckpt", method="det+") == (
+            "191c9a8fba54765a07c0148189740623c1cb7d37ccc6af0269e9d500b4aa1320"
+        )
+
+    def test_block_zipf_fingerprint_is_pinned(self, tmp_path):
+        engine = _engine(24)
+        fingerprint = self._fingerprint(
+            engine, tmp_path / "run.ckpt",
+            method="sam+", seed=7, epsilon=0.05, deadline=30.0,
+        )
+        assert fingerprint == (
+            "780f1a04c49929750465c97cd67f64642df5e13ca6faca0c528663d76dc09081"
+        )
+
+    def test_a_restriction_changes_the_fingerprint(self, tmp_path):
+        full = self._fingerprint(_engine(), tmp_path / "full.ckpt", method="det+")
+        fingerprints = {
+            self._fingerprint(
+                _engine(), tmp_path / f"{name}.ckpt", method="det+", **restriction
+            )
+            for name, restriction in (
+                ("dims", dict(dims=[0, 2])),
+                ("competitors", dict(competitors=[1, 3, 5, 7])),
+                ("both", dict(competitors=[1, 3, 5, 7], dims=[0, 2])),
+            )
+        }
+        assert full not in fingerprints
+        assert len(fingerprints) == 3
+
+    def test_a_restricted_checkpoint_resumes(self, tmp_path):
+        checkpoint = tmp_path / "run.ckpt"
+        restriction = dict(competitors=[0, 2, 4, 6, 8, 10], dims=[1, 2])
+        with pytest.raises(CoordinatorAbortedError):
+            _coordinator(checkpoint).run(
+                method="det+", abort_after_shards=1, **restriction
+            )
+        resumed = _coordinator(checkpoint).run(method="det+", **restriction)
+        assert resumed.supervision.resumed == 1
+        clean = ShardCoordinator(
+            _engine(), DistribConfig(workers=2, **FAST)
+        ).run(method="det+", **restriction)
+        assert resumed.batch == clean.batch
+
+
 class TestKillAndResume:
     @settings(max_examples=6, deadline=None)
     @given(kill_after=st.integers(min_value=1, max_value=5))

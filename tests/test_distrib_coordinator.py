@@ -231,6 +231,51 @@ class TestSalvageParity:
             )
 
 
+class TestDeterministicShardFailures:
+    """A shard that failed with a ReproError goes straight to salvage.
+
+    The batch planner never retries a ReproError (re-running the same
+    computation cannot change its outcome); neither does the coordinator,
+    which used to re-dispatch such a shard until its circuit breaker
+    tripped."""
+
+    @staticmethod
+    def _engine():
+        from strategies import strict_block_zipf
+
+        return SkylineProbabilityEngine(*strict_block_zipf())
+
+    def test_failures_match_the_batch_planner_after_one_retry_free_dispatch(self):
+        batch = batch_skyline_probabilities(self._engine())
+        assert batch.failures
+        result = _run(
+            self._engine(),
+            config=DistribConfig(workers=2, hedge_multiplier=None, **FAST),
+        )
+        assert result.batch.failures == batch.failures
+        assert result.batch.reports == batch.reports
+        failing = {failure.index for failure in batch.failures}
+        for shard in result.shards:
+            if failing & set(shard.indices):
+                assert (shard.dispatches, shard.failures) == (2, 1)
+            else:
+                assert (shard.dispatches, shard.failures) == (1, 0)
+        assert any(failing & set(shard.indices) for shard in result.shards)
+
+    def test_on_error_raise_stops_after_one_dispatch(self):
+        from repro.errors import ShardFailedError
+
+        with pytest.raises(ShardFailedError) as raised:
+            _run(
+                self._engine(),
+                config=DistribConfig(
+                    workers=2, hedge_multiplier=None, on_error="raise", **FAST
+                ),
+            )
+        assert raised.value.attempts == 1
+        assert "UnknownPreferenceError" in str(raised.value)
+
+
 class TestValidation:
     def test_engine_type_is_checked(self):
         with pytest.raises(DistribError, match="SkylineProbabilityEngine"):

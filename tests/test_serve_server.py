@@ -229,6 +229,17 @@ class TestProtocolErrors:
 
         _serve(check)
 
+    def test_non_integer_remove_target_is_400(self):
+        # 1.5 is neither an index nor a value list: the engine's index
+        # rule rejects it with a DatasetError, not a bare TypeError.
+        async def check(server, client):
+            response = await client.edit("remove_object", target=1.5)
+            assert response.status == 400
+            assert response.data["error"]["type"] == "DatasetError"
+            assert (await client.healthz()).data["objects"] == 6
+
+        _serve(check)
+
     def test_malformed_json_is_400(self):
         async def check(server, client):
             raw = b"this is not json"
