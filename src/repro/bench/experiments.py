@@ -1532,7 +1532,71 @@ def run_dynamic_updates(scale: str) -> List[ExperimentTable]:
                 == rebuilt.skyline_probabilities(),
             },
         )
-    return [table]
+    return [table, _warm_build_table(scale)]
+
+
+def _warm_build_table(scale: str) -> ExperimentTable:
+    """The dynamic engine's warm-up against one ``det+`` batch pass.
+
+    Both answer every object of a fresh instance; the build also keeps
+    each target's Theorem-4 factors.  ``scripts/check_overhead.py
+    dynamic_updates --quick --threshold 1.5`` gates the ratio in CI.
+    """
+    from repro.core.dynamic import DynamicSkylineEngine
+
+    if scale == "full":
+        sizes, budget, rounds = ((48, 3), (200, 4)), 30.0, _TIMING_ROUNDS
+    else:
+        sizes, budget, rounds = ((48, 3),), 2.0, 21
+    table = ExperimentTable(
+        "dynamic_updates",
+        "Warm view build vs one det+ batch pass (block-zipf, fresh "
+        "engine and cache per call)",
+        columns=(
+            "workload", "build seconds", "batch seconds",
+            "overhead (build / batch)", "identical",
+        ),
+        paper_reference="Theorems 3 and 4 (the units of invalidation)",
+        expectation=(
+            "the warm-up plans its targets through the engine's tile pass "
+            "and solves their components in one grouped exact call, as a "
+            "batch pass does, so keeping every factor costs well under "
+            "1.5x the pass, with identical probabilities"
+        ),
+    )
+    for n, d in sizes:
+        dataset = block_zipf_dataset(n, d, seed=321)
+        preferences = HashedPreferenceModel(d, seed=322)
+
+        def build() -> List[float]:
+            return DynamicSkylineEngine(
+                dataset, preferences
+            ).skyline_probabilities()
+
+        def batch() -> List[float]:
+            engine = SkylineProbabilityEngine(dataset, preferences)
+            return list(
+                batch_skyline_probabilities(
+                    engine,
+                    method="det+",
+                    workers=1,
+                    cache=DominanceCache(preferences),
+                ).probabilities
+            )
+
+        answers, seconds = _interleaved_median_seconds(
+            {"build": build, "batch": batch}, budget=budget, rounds=rounds
+        )
+        table.add_row(
+            workload=f"warm view build, n={n} d={d}",
+            **{
+                "build seconds": seconds["build"],
+                "batch seconds": seconds["batch"],
+                "overhead (build / batch)": seconds["build"] / seconds["batch"],
+                "identical": answers["build"] == answers["batch"],
+            },
+        )
+    return table
 
 
 @register(

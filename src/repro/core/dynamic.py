@@ -36,6 +36,12 @@ Edit cost model:
   survivor's); otherwise the target is refreshed with component-level
   factor reuse.
 
+The warm-up and every edit plan their targets through the static
+engine's planning step (the tile pass once the targets' cells reach its
+crossover; a remove plans one target at a time) and make one exact
+call, so ``"vec"`` components of one key structure are solved together;
+only the components that must be re-solved go to that call.
+
 Every edit is **transactional**: new view state is staged and swapped in
 only after the whole edit succeeds, and a failed ``update_preference``
 rolls the model and cache back — a mid-edit crash (see the chaos suite)
@@ -51,15 +57,16 @@ import json
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 import repro.obs as obs
 from repro.core.dominance import DominanceCache
 from repro.core.exact import (
     DEFAULT_MAX_OBJECTS,
     DET_KERNELS,
+    Component,
     ExactResult,
-    det_from_factor_lists,
+    _component,
 )
 from repro.core.engine import (
     SkylineProbabilityEngine,
@@ -71,7 +78,7 @@ from repro.core.engine import (
 from repro.core.objects import Dataset, ObjectValues, Value, as_object
 from repro.core.options import QueryOptions, _check_det_kernel
 from repro.core.preferences import PreferenceModel
-from repro.core.preprocess import _differing_keys, partition, preprocess
+from repro.core.preprocess import _differing_keys, partition
 from repro.core.restricted import normalize_restriction
 from repro.errors import DatasetError, DimensionalityError, DuplicateObjectError, ReproError
 
@@ -146,6 +153,21 @@ class TargetView:
     factors: Tuple[PartitionFactor, ...]
     probability: float
     member_union: FrozenSet[ObjectValues]
+
+
+class _Pending(NamedTuple):
+    """A component of a staged view, waiting for its edit's exact call.
+
+    ``position`` is the component's place in that call.
+    """
+
+    members: Tuple[ObjectValues, ...]
+    position: int
+
+
+#: A view being built: its target and, in canonical order, each
+#: component's reused factor or pending solve.
+_Staged = Tuple[ObjectValues, List["PartitionFactor | _Pending"]]
 
 
 @dataclass(frozen=True)
@@ -234,7 +256,6 @@ class DynamicSkylineEngine:
         self._engine = SkylineProbabilityEngine(
             dataset, preferences, max_exact_objects=max_exact_objects
         )
-        self._dataset = dataset
         self._preferences = preferences
         self._max_exact_objects = max_exact_objects
         self._fault_injector = fault_injector
@@ -252,13 +273,11 @@ class DynamicSkylineEngine:
         self._restricted_memo: Dict[object, _RestrictedEntry] = {}
         self._restricted_hits = 0
         self._restricted_misses = 0
-        self._views: List[TargetView] = [
-            self._compute_view(
-                self._objects[index],
-                self._objects[:index] + self._objects[index + 1 :],
-            )[0]
-            for index in range(len(self._objects))
-        ]
+        components: List[Component] = []
+        staged, _, _ = self._plan_views(
+            self._engine, range(len(self._objects)), components
+        )
+        self._views = self._solve_views(self._engine, staged, components)
 
     # ------------------------------------------------------------------
     # Read side
@@ -266,7 +285,7 @@ class DynamicSkylineEngine:
     @property
     def dataset(self) -> Dataset:
         """The current dataset (rebuilt on every object edit)."""
-        return self._dataset
+        return self._engine.dataset
 
     @property
     def preferences(self) -> PreferenceModel:
@@ -305,7 +324,7 @@ class DynamicSkylineEngine:
 
     def view(self, index: int) -> TargetView:
         """The maintained view for one object index."""
-        return self._views[_resolve_index(self._dataset, index)]
+        return self._views[_resolve_index(self.dataset, index)]
 
     def skyline_probabilities(self) -> List[float]:
         """Exact ``sky`` for every object, served warm from the view."""
@@ -379,10 +398,10 @@ class DynamicSkylineEngine:
             dims=dims,
         )
         restriction = normalize_restriction(
-            self._dataset, competitors=options.competitors, dims=options.dims
+            self.dataset, competitors=options.competitors, dims=options.dims
         )
         target_values, pool, own = _resolve_pool(
-            self._dataset, target, restriction
+            self.dataset, target, restriction
         )
         identity = ("external" if own is None else "index", target_values)
         memo_key = (identity, restriction.key, options.method, options.det_kernel)
@@ -449,10 +468,10 @@ class DynamicSkylineEngine:
         swapped in atomically at the end.
         """
         values = as_object(values)
-        if len(values) != self._dataset.dimensionality:
+        if len(values) != self.dataset.dimensionality:
             raise DimensionalityError(
                 f"object has {len(values)} dimensions, dataset has "
-                f"{self._dataset.dimensionality}"
+                f"{self.dataset.dimensionality}"
             )
         if values in self._objects:
             raise DuplicateObjectError(
@@ -461,40 +480,47 @@ class DynamicSkylineEngine:
             )
         new_objects = self._objects + [values]
         position_of = {obj: index for index, obj in enumerate(new_objects)}
-        staged: List[TargetView] = []
-        recomputed = reused = refreshed = skipped = 0
-        step = 0
+        components: List[Component] = []
+        staged: List[TargetView | _Staged] = []
+        recomputed = reused = step = 0  # `step` counts refreshed views
         for view in self._views:
-            new_view, solves, kept = self._insert_into_view(
-                view, values, position_of, step
+            repaired = self._insert_into_view(
+                view, values, position_of, step, components
             )
-            if new_view is view:
-                skipped += 1
-            else:
-                refreshed += 1
-                step += 1
-                recomputed += solves
-                reused += kept
-            staged.append(new_view)
+            if repaired is None:
+                staged.append(view)
+                continue
+            step += 1
+            solved = sum(isinstance(entry, _Pending) for entry in repaired[1])
+            recomputed += solved
+            reused += len(repaired[1]) - solved
+            staged.append(repaired)
         self._failpoint(step)
-        own_view, solved, _ = self._compute_view(values, self._objects)
-        recomputed += solved
-        # Commit.
+        counter = self._label_counter
         if label is None:
-            self._label_counter += 1
-            label = f"Q{self._label_counter}"
+            counter += 1
+            label = f"Q{counter}"
+        labels = self._labels + [str(label)]
+        engine = self._bind(new_objects, labels)
+        own, solved, _ = self._plan_views(
+            engine, [len(self._objects)], components
+        )
+        recomputed += solved
+        views = self._solve_views(engine, staged + own, components)
+        # Commit.
+        self._label_counter = counter
         self._objects = new_objects
-        self._labels.append(str(label))
+        self._labels = labels
         self._count_values(values, +1)
-        self._views = staged + [own_view]
-        self._rebind(new_objects)
+        self._views = views
+        self._engine = engine
         # Full-pool restricted answers gained a competitor; explicit
         # competitor subsets are index-stable under append and survive.
         restricted = self._purge_restricted(
             lambda entry: entry.full_pool
         )
         return self._finish_edit(
-            "insert", refreshed, skipped, recomputed, reused, 0,
+            "insert", step, len(staged) - step, recomputed, reused, 0,
             restricted,
         )
 
@@ -513,39 +539,42 @@ class DynamicSkylineEngine:
             raise DatasetError("cannot remove the last object of the dataset")
         removed = self._objects[index]
         new_objects = self._objects[:index] + self._objects[index + 1 :]
-        staged: List[TargetView] = []
-        recomputed = reused = refreshed = skipped = 0
-        step = 0
-        for view_index, view in enumerate(self._views):
-            if view_index == index:
-                continue
-            if removed not in view.member_union:
-                staged.append(view)
-                skipped += 1
-                continue
+        labels = self._labels[:index] + self._labels[index + 1 :]
+        views = self._views[:index] + self._views[index + 1 :]
+        refresh = [
+            position
+            for position, view in enumerate(views)
+            if removed in view.member_union
+        ]
+        for step in range(len(refresh)):
             self._failpoint(step)
-            step += 1
-            refreshed += 1
-            target_values = view.target
-            competitors = [obj for obj in new_objects if obj != target_values]
-            new_view, solved, kept = self._compute_view(
-                target_values, competitors, reuse_from=view
-            )
-            recomputed += solved
-            reused += kept
-            staged.append(new_view)
+        engine = self._bind(new_objects, labels)
+        components: List[Component] = []
+        # Planned one target at a time: a remove refreshes nearly every
+        # view, so its tile is the largest an edit makes, and on the
+        # serving tier's engine thread that tile's NumPy transients stay
+        # resident (tiled removes took the `serve_mixed` server's peak
+        # RSS about 1.5 MB higher).
+        staged, recomputed, reused = self._plan_views(
+            engine, refresh, components, [views[k] for k in refresh],
+            tiled=False,
+        )
+        for position, view in zip(
+            refresh, self._solve_views(engine, staged, components)
+        ):
+            views[position] = view
         # Commit.
         self._objects = new_objects
-        del self._labels[index]
+        self._labels = labels
         self._count_values(removed, -1)
-        self._views = staged
-        self._rebind(new_objects)
+        self._views = views
+        self._engine = engine
         # Dataset indices shifted: every restricted memo key may now
         # name different competitors, so nothing can be kept.
         restricted = self._purge_restricted(lambda entry: True)
         return self._finish_edit(
-            "remove", refreshed, skipped, recomputed, reused, 0,
-            restricted,
+            "remove", len(refresh), len(views) - len(refresh), recomputed,
+            reused, 0, restricted,
         )
 
     def update_preference(
@@ -581,9 +610,7 @@ class DynamicSkylineEngine:
         model.set_preference(dimension, a, b, prob_a_over_b, prob_b_over_a)
         evicted = self._cache.evict_preference(dimension, a, b)
         try:
-            new_views: Dict[int, TargetView] = {}
-            recomputed = reused = refreshed = skipped = 0
-            step = 0
+            refresh: List[int] = []
             for index, target in enumerate(self._objects):
                 own = target[dimension]
                 if own == a:
@@ -591,28 +618,23 @@ class DynamicSkylineEngine:
                 elif own == b:
                     other = a
                 else:
-                    skipped += 1
                     continue
                 if self._value_counts[dimension].get(other, 0) == 0:
                     # No object holds the opposite value: no dominance
                     # variable of this target reads the edited pair.
-                    skipped += 1
                     continue
-                self._failpoint(step)
-                step += 1
-                refreshed += 1
-                competitors = (
-                    self._objects[:index] + self._objects[index + 1 :]
-                )
-                new_view, solved, kept = self._compute_view(
-                    target,
-                    competitors,
-                    reuse_from=self._views[index],
-                    touched_keys=frozenset({(dimension, other)}),
-                )
-                recomputed += solved
-                reused += kept
-                new_views[index] = new_view
+                self._failpoint(len(refresh))
+                refresh.append(index)
+            components: List[Component] = []
+            # A target reads the pair through the value it does not hold.
+            staged, recomputed, reused = self._plan_views(
+                self._engine,
+                refresh,
+                components,
+                [self._views[index] for index in refresh],
+                frozenset({(dimension, a), (dimension, b)}),
+            )
+            new_views = self._solve_views(self._engine, staged, components)
         except BaseException:
             # Roll back: restore the pair (or its absence), resync the
             # cache, and leave every view exactly as it was.
@@ -623,10 +645,10 @@ class DynamicSkylineEngine:
             self._cache.evict_preference(dimension, a, b)
             raise
         # Commit.
-        for index, new_view in new_views.items():
+        for index, new_view in zip(refresh, new_views):
             self._views[index] = new_view
 
-        def touched(entry: _RestrictedEntry) -> bool:
+        def stale(entry: _RestrictedEntry) -> bool:
             own = entry.target[dimension]
             if own == a:
                 other: Value = b
@@ -636,10 +658,11 @@ class DynamicSkylineEngine:
                 return False
             return (dimension, other) in entry.read_keys
 
-        restricted = self._purge_restricted(touched)
+        restricted = self._purge_restricted(stale)
         return self._finish_edit(
-            "update_preference", refreshed, skipped, recomputed, reused,
-            evicted, restricted,
+            "update_preference", len(refresh),
+            len(self._objects) - len(refresh), recomputed, reused, evicted,
+            restricted,
         )
 
     # ------------------------------------------------------------------
@@ -663,7 +686,7 @@ class DynamicSkylineEngine:
         index_of = {obj: index for index, obj in enumerate(self._objects)}
         payload = {
             "format": VIEW_SNAPSHOT_FORMAT,
-            "dimensionality": self._dataset.dimensionality,
+            "dimensionality": self.dataset.dimensionality,
             "objects": [list(obj) for obj in self._objects],
             "labels": list(self._labels),
             "label_counter": self._label_counter,
@@ -790,66 +813,105 @@ class DynamicSkylineEngine:
             raise DatasetError(
                 f"malformed warm-view snapshot {path}: {error}"
             ) from None
-        engine._rebind(objects)
+        engine._engine = engine._bind(objects, labels)
         return engine
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _compute_view(
+    def _plan_views(
         self,
-        target: ObjectValues,
-        competitors: Sequence[ObjectValues],
-        *,
-        reuse_from: TargetView | None = None,
+        engine: SkylineProbabilityEngine,
+        indices: Sequence[int],
+        components: List[Component],
+        reuse: Sequence[TargetView] | None = None,
         touched_keys: FrozenSet[_Key] = frozenset(),
-    ) -> Tuple[TargetView, int, int]:
-        """Run the polynomial pipeline for one target, reusing factors.
+        tiled: bool = True,
+    ) -> Tuple[List[_Staged], int, int]:
+        """Stage the views of ``engine``'s objects at ``indices``.
 
-        ``competitors`` must be in dataset order (the pipeline's
-        first-seen component order then matches a fresh build, keeping
-        float products bit-identical).  A component is reused from
-        ``reuse_from`` when its membership is identical and its key set
-        is disjoint from ``touched_keys``.  Returns
-        ``(view, components solved, components reused)``.
+        The targets go through the engine's ``det+`` planning step
+        (:meth:`SkylineProbabilityEngine._plan_queries`: the tile pass
+        from ``_TILE_CROSSOVER`` cells on; not ``tiled``, one target at a
+        time), which never reads or writes its memo.  A component is
+        reused from ``reuse[k]``, target ``k``'s current view, when its
+        membership is identical and its key set is disjoint from
+        ``touched_keys``; every other one is appended to ``components``
+        for the one exact call.  The first planning failure in target order is raised.
+        Returns ``(staged views, components solved, components
+        reused)``.
         """
-        prep = preprocess(
-            competitors,
-            target,
-            preferences=self._preferences,
-            cache=self._cache,
-        )
-        previous: Dict[FrozenSet[ObjectValues], PartitionFactor] = {}
-        if reuse_from is not None:
-            previous = {
-                frozenset(factor.members): factor for factor in reuse_from.factors
-            }
-        factors: List[PartitionFactor] = []
+        options = QueryOptions(method="det+", det_kernel=self._det_kernel)
+        queries = [
+            (k, engine._open(index, options, None, None, self._cache))
+            for k, index in enumerate(indices)
+        ]
+        planned: List[Component] = []
+        tiles = None if tiled else {}
+        for outcome in engine._plan_queries(queries, planned, None, tiles):
+            if isinstance(outcome, Exception):
+                raise outcome
+        staged: List[_Staged] = []
         solved = kept = 0
-        for part in prep.partitions:
-            members = tuple(competitors[position] for position in part)
-            known = previous.get(frozenset(members))
-            if known is not None and not (known.keys & touched_keys):
-                factors.append(known)
-                kept += 1
-                continue
-            factors.append(self._component_factor(members, target))
-            solved += 1
-        return self._assemble_view(target, factors), solved, kept
+        for k, query in queries:
+            previous = {}
+            if reuse is not None:
+                previous = {
+                    frozenset(factor.members): factor
+                    for factor in reuse[k].factors
+                }
+            entries: List[PartitionFactor | _Pending] = []
+            plan = query.plan
+            for part, step in zip(plan.prep.partitions, plan.steps):
+                members = tuple(query.competitors[position] for position in part)
+                known = previous.get(frozenset(members))
+                if known is not None and not (known.keys & touched_keys):
+                    entries.append(known)
+                    kept += 1
+                    continue
+                entries.append(_Pending(members, len(components)))
+                components.append(planned[step])
+                solved += 1
+            staged.append((query.target, entries))
+        return staged, solved, kept
 
-    def _component_factor(
-        self, members: Tuple[ObjectValues, ...], target: ObjectValues
-    ) -> PartitionFactor:
-        """Exact-solve one value-disjoint component into a cached factor."""
-        keys = frozenset(
-            key for member in members for key in _differing_keys(member, target)
-        )
-        result = det_from_factor_lists(
-            [self._cache.dominance_factors(member, target) for member in members],
-            max_objects=self._max_exact_objects,
-            kernel=self._det_kernel,
-        )
-        return PartitionFactor(members, keys, result)
+    def _solve_views(
+        self,
+        engine: SkylineProbabilityEngine,
+        staged: Sequence[TargetView | _Staged],
+        components: List[Component],
+    ) -> List[TargetView]:
+        """Solve ``components`` in one exact call and fold the staged views.
+
+        A :class:`TargetView` passes through unchanged.  A pending
+        component's factor takes its members' differing keys and its
+        exact outcome; the first failed outcome in target order is
+        raised.
+        """
+        outcomes = engine._exact(components, self._det_kernel)
+        views: List[TargetView] = []
+        for view in staged:
+            if isinstance(view, TargetView):
+                views.append(view)
+                continue
+            target, entries = view
+            factors = []
+            for entry in entries:
+                if isinstance(entry, _Pending):
+                    result = outcomes[entry.position]
+                    if isinstance(result, Exception):
+                        raise result
+                    # The union of the members' differing keys.
+                    keys = frozenset(
+                        (dimension, value)
+                        for member in entry.members
+                        for dimension, value in enumerate(member)
+                        if value != target[dimension]
+                    )
+                    entry = PartitionFactor(entry.members, keys, result)
+                factors.append(entry)
+            views.append(self._assemble_view(target, factors))
+        return views
 
     def _assemble_view(
         self, target: ObjectValues, factors: Sequence[PartitionFactor]
@@ -873,12 +935,13 @@ class DynamicSkylineEngine:
         values: ObjectValues,
         position_of: Dict[ObjectValues, int],
         step: int,
-    ) -> Tuple[TargetView, int, int]:
-        """Classify the inserted object against one view and repair it.
+        components: List[Component],
+    ) -> _Staged | None:
+        """Classify the inserted object against one view and stage its repair.
 
-        Returns ``(new view, components solved, components kept)``; the
-        original view object is returned unchanged when the insert
-        provably cannot perturb it.
+        Returns ``None`` when the insert provably cannot perturb the
+        view; otherwise the staged view, whose rebuilt components are
+        appended to ``components`` for the edit's one exact call.
         """
         target = view.target
         gamma = frozenset(_differing_keys(values, target))
@@ -890,7 +953,7 @@ class DynamicSkylineEngine:
         for factor in affected:
             for member in factor.members:
                 if frozenset(_differing_keys(member, target)) <= gamma:
-                    return view, 0, 0
+                    return None
         # Impossible (zero-probability filter): a null event changes
         # nothing.  This also covers absorption by a survivor the filter
         # had dropped — the new object inherits its zero factor.
@@ -898,11 +961,11 @@ class DynamicSkylineEngine:
             probability == 0.0
             for _, _, probability in self._cache.dominance_factors(values, target)
         ):
-            return view, 0, 0
+            return None
         self._failpoint(step)
         # The new object is a kept survivor: merge the components it
         # touches, drop the members it absorbs, and re-partition locally
-        # (the same union-find the static pipeline uses).
+        # (the same union-find as the static pipeline).
         survivors = [
             member
             for factor in affected
@@ -910,19 +973,20 @@ class DynamicSkylineEngine:
             if not gamma <= frozenset(_differing_keys(member, target))
         ]
         local = sorted(survivors + [values], key=position_of.__getitem__)
-        components = partition(local, target)
-        rebuilt = [
-            self._component_factor(
-                tuple(local[position] for position in part), target
-            )
-            for part in components
+        entries: List[PartitionFactor | _Pending] = [
+            factor for factor in view.factors if not (factor.keys & gamma)
         ]
-        untouched = [factor for factor in view.factors if not (factor.keys & gamma)]
-        merged = sorted(
-            untouched + rebuilt,
-            key=lambda factor: position_of[factor.members[0]],
-        )
-        return self._assemble_view(target, merged), len(rebuilt), len(untouched)
+        for part in partition(local, target):
+            members = tuple(local[position] for position in part)
+            entries.append(_Pending(members, len(components)))
+            components.append(
+                _component(
+                    self._cache.dominance_factors(member, target)
+                    for member in members
+                )
+            )
+        entries.sort(key=lambda entry: position_of[entry.members[0]])
+        return target, entries
 
     def _purge_restricted(self, stale) -> int:
         """Drop restricted-memo entries matching ``stale(entry)``."""
@@ -935,11 +999,12 @@ class DynamicSkylineEngine:
             del self._restricted_memo[memo_key]
         return len(doomed)
 
-    def _rebind(self, objects: Sequence[ObjectValues]) -> None:
-        """Rebuild the immutable dataset + inner engine after object edits."""
-        self._dataset = Dataset(objects, labels=self._labels)
-        self._engine = SkylineProbabilityEngine(
-            self._dataset,
+    def _bind(
+        self, objects: Sequence[ObjectValues], labels: Sequence[str]
+    ) -> SkylineProbabilityEngine:
+        """A static engine over a new dataset of ``objects``."""
+        return SkylineProbabilityEngine(
+            Dataset(objects, labels=labels),
             self._preferences,
             max_exact_objects=self._max_exact_objects,
         )
@@ -958,7 +1023,7 @@ class DynamicSkylineEngine:
         the engine's one index rule (anything else is a
         :class:`~repro.errors.DatasetError`)."""
         if isinstance(target, (str, bytes)) or not isinstance(target, Iterable):
-            return _resolve_index(self._dataset, target)
+            return _resolve_index(self.dataset, target)
         values = as_object(target)
         try:
             return self._objects.index(values)

@@ -251,7 +251,8 @@ class SkylineProbabilityEngine:
         The multi-target form of :meth:`skyline_probability`: the tasks
         share ``options`` and ``cache``.  Each task is opened (memo,
         duplicate rule, method dispatch) in task order; the targets left are
-        planned (the ``det+`` budget error, the exact components), then
+        planned by :meth:`_plan_queries` (the ``det+`` budget error, the
+        exact components), then
         one :func:`~repro.core.exact._solve` call evaluates the exact
         components of all of them — ``"vec"`` components of one key
         structure together — and each target is finished in task order.
@@ -318,21 +319,16 @@ class SkylineProbabilityEngine:
         components: List[Component] = []
         starts: List[int] = []  # where each planned target's components begin
 
-        def plan(position: int, query: _Query, tiled: object = None) -> bool:
-            # `tiled` is the query's tile outcome: its error, or its
-            # preprocessing and components.
-            if isinstance(tiled, Exception):
-                answers[position] = tiled
-                return False
-            starts.append(len(components))
-            try:
-                with query:
-                    self._plan(query, components, tiled)
-            except Exception as error:
-                answers[position] = error
-                return False
-            planned.append((position, query))
-            return True
+        def plan(
+            queries: List[Tuple[int, _Query]], tiles: Dict[int, object] | None
+        ) -> None:
+            outcomes = self._plan_queries(queries, components, beat, tiles)
+            for (position, query), outcome in zip(queries, outcomes):
+                if isinstance(outcome, Exception):
+                    answers[position] = outcome
+                else:
+                    starts.append(outcome)
+                    planned.append((position, query))
 
         dataset = self._dataset
         tiled = (
@@ -373,14 +369,14 @@ class SkylineProbabilityEngine:
             if tiled and not stop_at_error:
                 open_keys.add(query.key)
                 deferred.append((position, query))
-            elif plan(position, query, ahead.get(position)):
+                continue
+            plan([(position, query)], ahead)
+            if answers[position] is None:
                 open_keys.add(query.key)
             elif stop_at_error:
                 break
         if deferred:
-            outcomes = self._tile_outcomes(deferred, beat)
-            for position, query in deferred:
-                plan(position, query, outcomes.get(position))
+            plan(deferred, None)
         beaten = None
 
         def solving(component: int | None) -> None:
@@ -411,6 +407,44 @@ class SkylineProbabilityEngine:
                 beat()
             alone(position)
         return answers
+
+    def _plan_queries(
+        self,
+        queries: List[Tuple[int, "_Query"]],
+        components: List[Component],
+        beat: Callable[[], None] | None = None,
+        tiles: Dict[int, object] | None = None,
+    ) -> List[int | Exception]:
+        """Plan opened queries, appending their exact components to ``components``.
+
+        The planning half of the multi-target form, which the dynamic
+        engine's view builds share.  ``queries`` are ``(position,
+        query)`` pairs of opened queries, planned in order; ``tiles``
+        holds the tile pass's outcomes (:meth:`_tile_outcomes`), and ``None``
+        tiles the queries here, which must then be ``det``/``det+``/
+        ``auto`` queries with a cache.  A query without a tile outcome is
+        planned alone.  Returns, per query, where its components begin
+        in ``components`` (its plan is ``query.plan``) or the exception
+        its planning raised; a failed plan leaves no component behind.
+        """
+        if tiles is None:
+            tiles = self._tile_outcomes(queries, beat)
+        outcomes: List[int | Exception] = []
+        for position, query in queries:
+            tiled = tiles.get(position)
+            if isinstance(tiled, Exception):
+                outcomes.append(tiled)
+                continue
+            start = len(components)
+            try:
+                with query:
+                    self._plan(query, components, tiled)
+            except Exception as error:
+                del components[start:]
+                outcomes.append(error)
+                continue
+            outcomes.append(start)
+        return outcomes
 
     def _peek(
         self,

@@ -180,8 +180,8 @@ def _index_tuple(name: str, values: object) -> Tuple[int, ...] | None:
     Entries must be integers (NumPy integers included, through
     :func:`operator.index`): a competitor that is not raises
     :class:`~repro.errors.DatasetError`, a dimension
-    :class:`~repro.errors.DimensionalityError`.  A value that is not a
-    sequence at all raises :class:`TypeError`.
+    :class:`~repro.errors.DimensionalityError`, and so does a value
+    that is not a sequence at all.
     """
     if values is None:
         return None
@@ -192,7 +192,7 @@ def _index_tuple(name: str, values: object) -> Tuple[int, ...] | None:
     try:
         items = iter(values)
     except TypeError:
-        raise TypeError(
+        raise error(
             f"{name} must be a sequence of integers or None, got {values!r}"
         ) from None
     chosen = set()

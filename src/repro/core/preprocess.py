@@ -657,11 +657,14 @@ def _forms(
     """
     members = np.empty(len(widths), dtype=object)
     starts = np.cumsum(widths) - widths
-    for width in np.unique(widths).tolist():
+    # The distinct widths, ascending.  (A plain np.unique would import
+    # numpy.ma, a megabyte of resident memory, to check for a mask.)
+    for width in np.flatnonzero(np.bincount(widths)).tolist():
         which = np.flatnonzero(widths == width)
         cells = ids[starts[which][:, None] + np.arange(width)]
+        # Zipped columns make each member's tuple with no list per row.
         members[which] = np.fromiter(
-            map(tuple, cells.tolist()), dtype=object, count=len(which)
+            zip(*cells.T.tolist()), dtype=object, count=len(which)
         )
     members = members.tolist()
     factors = factors.tolist()
@@ -680,6 +683,33 @@ def _forms(
         member += size
         cell += length
     return forms
+
+
+def _member_roots(
+    size: int, members: np.ndarray, cell_item: np.ndarray, cell_key: np.ndarray
+) -> np.ndarray:
+    """Each member item's component root: items sharing a key are linked.
+
+    ``cell_item`` and ``cell_key`` give each cell's item and key; only
+    the cells of ``members`` link.  Each item joins the first item
+    holding each of its keys.
+    """
+    member = np.zeros(size, dtype=bool)
+    member[members] = True
+    linking = member[cell_item]
+    items = cell_item[linking]
+    _, anchor, key_of = np.unique(
+        cell_key[linking], return_index=True, return_inverse=True
+    )
+    return _roots(size, items[anchor][key_of.reshape(-1)], items)[members]
+
+
+def _first_seen_ranks(keys: np.ndarray) -> np.ndarray:
+    """Each entry's key numbered by the key's first occurrence in ``keys``."""
+    _, first_seen, key_of = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(len(first_seen), dtype=np.int64)
+    rank[np.argsort(first_seen)] = np.arange(len(first_seen))
+    return rank[key_of.reshape(-1)]
 
 
 def _plan_tile(
@@ -748,6 +778,9 @@ def _plan_tile(
     # A cell's (target, dimension, value) key, unique within the tile.
     cell_key = (cell_t * dimensionality + cell_j) * max(map(len, values))
     cell_key += pool_codes[cell_i, cell_j]
+    # Cell-sized arrays are the tile's largest transients: each is
+    # dropped once dead, so fewer of them are alive at the peak.
+    del cells, cell_t, cell_i, cell_j
     impossible = np.zeros(size, dtype=bool)
     impossible[cell_item[factor == 0.0]] = True
     live = read.copy()
@@ -757,15 +790,7 @@ def _plan_tile(
     # Components: members grouped under their smallest member, groups
     # and members ascending — the order UnionFind.components() yields.
     if preprocessing and use_partition:
-        member = np.zeros(size, dtype=bool)
-        member[members] = True
-        linking = member[cell_item]
-        items = cell_item[linking]
-        # Each item joins the first item holding each of its keys.
-        _, anchor, key_of = np.unique(
-            cell_key[linking], return_index=True, return_inverse=True
-        )
-        root = _roots(size, items[anchor][key_of.reshape(-1)], items)[members]
+        root = _member_roots(size, members, cell_item, cell_key)
     else:
         root = members // width
     order = np.lexsort((members, root))
@@ -774,6 +799,7 @@ def _plan_tile(
     head[1:] = root[1:] != root[:-1]
     part_start = np.flatnonzero(head)
     part_size = np.diff(np.append(part_start, len(members)))
+    del root, order, head
     solved = part_size <= max_exact if preprocessing else part_size > 0
     # The solved parts' cells, member after member.  Parts share no key,
     # so a key's rank among the tile's first occurrences, less that of
@@ -784,17 +810,14 @@ def _plan_tile(
         np.searchsorted(cell_item, solved_members) - (np.cumsum(widths) - widths),
         widths,
     ) + np.arange(widths.sum())
-    _, first_seen, key_of = np.unique(
-        cell_key[solved_cells], return_index=True, return_inverse=True
-    )
-    rank = np.empty(len(first_seen), dtype=np.int64)
-    rank[np.argsort(first_seen)] = np.arange(len(first_seen))
-    local = rank[key_of.reshape(-1)]
+    local = _first_seen_ranks(cell_key[solved_cells])
     sizes = part_size[solved]
     if len(sizes):
         part_cells = np.add.reduceat(widths, np.cumsum(sizes) - sizes)
         local -= np.repeat(local[np.cumsum(part_cells) - part_cells], part_cells)
-    forms = iter(_forms(sizes, widths, local, factor[solved_cells]))
+    rows = factor[solved_cells]
+    del factor, cell_item, cell_key, solved_cells
+    forms = iter(_forms(sizes, widths, local, rows))
     components = [next(forms) if ok else None for ok in solved.tolist()]
     # Per target: its slices of the flat, target-major results.
     bounds = np.arange(count + 1) * width

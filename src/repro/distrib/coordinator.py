@@ -47,6 +47,7 @@ deterministic.  The chaos suite (``tests/test_distrib_chaos.py``,
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import time
 from dataclasses import dataclass, field
@@ -62,7 +63,7 @@ from repro.core.batch import (
     plan_shards,
     spawn_batch_seeds,
 )
-from repro.core.bounds import validate_robustness
+from repro.core.bounds import _is_real_number, validate_robustness
 from repro.core.engine import SkylineProbabilityEngine, _resolve_indices
 from repro.core.options import QueryOptions
 from repro.errors import (
@@ -89,6 +90,11 @@ __all__ = ["DistribConfig", "DistribResult", "ShardCoordinator", "ShardOutcome"]
 
 #: Ceiling on one shard-level backoff delay, seconds.
 _BACKOFF_CAP = 1.0
+
+
+def _is_finite(value: object) -> bool:
+    """``value`` is a real number other than NaN and the infinities."""
+    return _is_real_number(value) and math.isfinite(value)
 
 
 @dataclass
@@ -274,38 +280,34 @@ class ShardCoordinator:
                 f"unknown on_error policy {config.on_error!r}; expected one "
                 f"of {ON_ERROR_POLICIES}"
             )
-        for name in ("stall_timeout", "poll_interval"):
+        # NaN and infinity fail every check: a NaN stall_timeout would
+        # reap every busy worker at each poll.
+        for name, optional in (
+            ("stall_timeout", False),
+            ("poll_interval", False),
+            ("run_timeout", True),
+            ("hedge_multiplier", True),
+        ):
             value = getattr(config, name)
-            if not isinstance(value, (int, float)) or value <= 0:
+            if value is None and optional:
+                continue
+            if not _is_finite(value) or value <= 0:
                 raise RobustnessPolicyError(
-                    f"{name} must be a positive number, got {value!r}"
+                    f"{name} must be a positive, finite number"
+                    f"{' or None' if optional else ''}, got {value!r}"
                 )
-        for name in ("max_shard_retries", "task_retries"):
+        if not _is_finite(config.hedge_floor) or config.hedge_floor < 0:
+            raise RobustnessPolicyError(
+                f"hedge_floor must be a non-negative, finite number, got "
+                f"{config.hedge_floor!r}"
+            )
+        for name in ("max_shard_retries", "task_retries", "hedge_min_completions"):
             value = getattr(config, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise RobustnessPolicyError(
                     f"{name} must be a non-negative integer, got {value!r}"
                 )
-        if not isinstance(config.backoff, (int, float)) or config.backoff < 0:
-            raise RobustnessPolicyError(
-                f"backoff must be a non-negative number, got {config.backoff!r}"
-            )
-        if config.hedge_multiplier is not None and (
-            not isinstance(config.hedge_multiplier, (int, float))
-            or config.hedge_multiplier <= 0
-        ):
-            raise RobustnessPolicyError(
-                f"hedge_multiplier must be a positive number or None, got "
-                f"{config.hedge_multiplier!r}"
-            )
-        if config.run_timeout is not None and (
-            not isinstance(config.run_timeout, (int, float))
-            or config.run_timeout <= 0
-        ):
-            raise RobustnessPolicyError(
-                f"run_timeout must be a positive number or None, got "
-                f"{config.run_timeout!r}"
-            )
+        validate_robustness(backoff=config.backoff)
 
     # ------------------------------------------------------------------
     def run(

@@ -49,6 +49,7 @@ from repro.core.options import FIELDS, QueryOptions
 from repro.errors import (
     AdmissionRejectedError,
     DatasetError,
+    DimensionalityError,
     ReproError,
     ServingError,
 )
@@ -256,7 +257,8 @@ class QueryCoalescer:
             )
         try:
             return QueryOptions(**options)
-        except TypeError as error:  # a restriction that is not a sequence
+        except (DatasetError, DimensionalityError) as error:
+            # A restriction that is not a sequence of integers.
             raise ServingError(str(error)) from None
 
     async def _flush_after_window(self, key: tuple) -> None:

@@ -300,6 +300,42 @@ class TestValidation:
         with pytest.raises(RobustnessPolicyError):
             ShardCoordinator(_engine(6), DistribConfig(**fields))
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"backoff": float("inf")},
+            {"backoff": float("nan")},
+            {"stall_timeout": float("nan")},
+            {"stall_timeout": float("inf")},
+            {"poll_interval": float("nan")},
+            {"poll_interval": float("inf")},
+            {"hedge_multiplier": float("nan")},
+            {"run_timeout": float("nan")},
+            {"hedge_floor": -1.0},
+            {"hedge_floor": "x"},
+            {"hedge_floor": float("nan")},
+            {"hedge_min_completions": -3},
+            {"hedge_min_completions": True},
+            {"hedge_min_completions": 2.5},
+        ],
+    )
+    def test_non_finite_and_unchecked_fields_are_rejected(
+        self, fields, monkeypatch
+    ):
+        import repro.distrib.coordinator as coordinator
+
+        def no_workers(*args, **kwargs):
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr(coordinator.mp, "get_context", no_workers)
+        with pytest.raises(RobustnessPolicyError):
+            ShardCoordinator(_engine(6), DistribConfig(**fields))
+
+    def test_default_config_is_accepted(self):
+        config = DistribConfig()
+        coordinator = ShardCoordinator(_engine(6), config)
+        assert coordinator.config is config
+
     def test_bad_run_arguments_are_rejected(self):
         coordinator = ShardCoordinator(_engine(6), DistribConfig(workers=2))
         with pytest.raises(ReproError, match="unknown method"):

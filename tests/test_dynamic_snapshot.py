@@ -12,6 +12,7 @@ reuse.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -155,3 +156,54 @@ class TestMalformedSnapshots:
         snapshot_path.write_text(text[: len(text) // 2])
         with pytest.raises(DatasetError):
             DynamicSkylineEngine.load_view(snapshot_path)
+
+
+class TestCommittedSnapshot:
+    """A format-1 snapshot written by an earlier release still loads.
+
+    ``data/view_snapshot_v1.json`` was written by the release that built
+    every view one target at a time: ``DynamicSkylineEngine`` over
+    ``block_zipf_dataset(24, 3, seed=31)`` and
+    ``random_preferences(dataset, seed=32)``, then the update, insert
+    and remove listed in ``data/view_snapshot_v1.probabilities.json``,
+    which also records the engine's ``skyline_probabilities()``.  Its
+    24 objects make 1,656 (target, competitor, dimension) cells, so a
+    rebuild plans them through the tile pass.
+    """
+
+    DATA = Path(__file__).parent / "data"
+
+    def _restored(self):
+        return DynamicSkylineEngine.load_view(self.DATA / "view_snapshot_v1.json")
+
+    @staticmethod
+    def _rebuild(engine):
+        return DynamicSkylineEngine(
+            Dataset(list(engine.dataset)), engine.preferences.copy()
+        )
+
+    def _assert_equals_rebuild(self, engine):
+        rebuilt = self._rebuild(engine)
+        assert engine.skyline_probabilities() == rebuilt.skyline_probabilities()
+        for index in range(engine.cardinality):
+            assert engine.view(index).factors == rebuilt.view(index).factors
+
+    def test_probabilities_are_the_recorded_ones(self):
+        recorded = json.loads(
+            (self.DATA / "view_snapshot_v1.probabilities.json").read_text()
+        )["probabilities"]
+        restored = self._restored()
+        assert restored.cardinality == 24
+        assert restored.skyline_probabilities() == recorded
+
+    def test_views_equal_a_fresh_engine(self):
+        self._assert_equals_rebuild(self._restored())
+
+    def test_edits_after_loading_equal_a_rebuild(self):
+        engine = self._restored()
+        engine.update_preference(1, "b001_d1_v0000", "b001_d1_v0006", 0.3, 0.6)
+        self._assert_equals_rebuild(engine)
+        engine.insert_object(("b002_d0_v0003", "b002_d1_v0001", "b002_d2_v0000"))
+        self._assert_equals_rebuild(engine)
+        engine.remove_object(6)
+        self._assert_equals_rebuild(engine)

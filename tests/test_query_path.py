@@ -323,6 +323,47 @@ def test_bad_option_raises_the_same_error_before_any_work(
     assert str(raised.value) == message
 
 
+#: Restrictions that are not sequences, as keyword arguments.
+BAD_RESTRICTIONS = {
+    "competitors": dict(competitors=3),
+    "dims": dict(dims=3),
+}
+
+
+def _dynamic_restriction_attempt(options):
+    engine = _engine()
+    dynamic = DynamicSkylineEngine(engine.dataset, engine.preferences)
+    try:
+        dynamic.restricted_skyline_probability(0, **options)
+    finally:
+        assert dynamic.restricted_cache_info() == {
+            "entries": 0, "hits": 0, "misses": 0,
+        }
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RESTRICTIONS))
+@pytest.mark.parametrize("entry_point", sorted(OPTION_ENTRY_POINTS))
+def test_restriction_that_is_not_a_sequence_raises_before_any_work(
+    entry_point, case, monkeypatch
+):
+    # It used to be a bare TypeError everywhere but the coalescer.
+    from repro.errors import ServingError
+
+    options = BAD_RESTRICTIONS[case]
+    error_type, message = _expected_error(options)
+    assert error_type is (DatasetError if case == "competitors" else DimensionalityError)
+    assert message == f"{case} must be a sequence of integers or None, got 3"
+    attempt = OPTION_ENTRY_POINTS[entry_point]
+    if entry_point == "dynamic restricted":
+        attempt = lambda options, monkeypatch: _dynamic_restriction_attempt(options)
+    if entry_point == "coalescer":
+        error_type = ServingError
+    with pytest.raises(Exception) as raised:
+        attempt(options, monkeypatch)
+    assert type(raised.value) is error_type
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("entry_point", sorted(PARTIAL_OPTIONS))
 def test_partial_entry_points_refuse_the_options_they_do_not_take(entry_point):
     with pytest.raises(TypeError, match="deadline"):
