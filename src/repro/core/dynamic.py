@@ -271,6 +271,7 @@ class DynamicSkylineEngine:
             self._count_values(obj, +1)
         self._edits = 0
         self._restricted_memo: Dict[object, _RestrictedEntry] = {}
+        self._restricted_version = preferences.version
         self._restricted_hits = 0
         self._restricted_misses = 0
         components: List[Component] = []
@@ -384,9 +385,13 @@ class DynamicSkylineEngine:
         dimension and the opposite value is among its read keys; an
         insert drops only full-pool entries (an explicit competitor
         subset is index-stable under append); a remove drops everything
-        (indices shift).  Sampled answers are never memoised.  The
-        options are checked before the memo is read; ``det_kernel=None``
-        means the view's kernel.
+        (indices shift).  Sampled answers are never memoised, and a
+        model edited other than through :meth:`update_preference`
+        clears the memo at the next lookup.  The shared pass of
+        :func:`~repro.core.restricted.restricted_skyline_probabilities`
+        on this engine reads and fills the same memo, cell by cell,
+        under the same key.  The options are checked before the memo is
+        read; ``det_kernel=None`` means the view's kernel.
         """
         options = QueryOptions(
             method=method,
@@ -400,37 +405,72 @@ class DynamicSkylineEngine:
         restriction = normalize_restriction(
             self.dataset, competitors=options.competitors, dims=options.dims
         )
-        target_values, pool, own = _resolve_pool(
-            self.dataset, target, restriction
-        )
-        identity = ("external" if own is None else "index", target_values)
-        memo_key = (identity, restriction.key, options.method, options.det_kernel)
-        entry = self._restricted_memo.get(memo_key)
-        if entry is not None:
-            self._restricted_hits += 1
-            return entry.report
-        self._restricted_misses += 1
-        report = self._engine.skyline_probability(
-            target, seed=seed, cache=self._cache, **options.as_kwargs()
-        )
-        if report.exact:
-            retained = (
-                None if restriction.dims is None else set(restriction.dims)
+        memo_key = self._restricted_key(target, restriction, options)
+        report = self._restricted_lookup(memo_key)
+        if report is None:
+            report = self._engine.skyline_probability(
+                target, seed=seed, cache=self._cache, **options.as_kwargs()
             )
-            read_keys = set()
-            for position in pool:
-                for key in _differing_keys(
-                    self._objects[position], target_values
-                ):
-                    if retained is None or key[0] in retained:
-                        read_keys.add(key)
-            self._restricted_memo[memo_key] = _RestrictedEntry(
-                report,
-                target_values,
-                frozenset(read_keys),
-                restriction.competitors is None,
-            )
+            self._restricted_store(memo_key, report)
         return report
+
+    def _restricted_key(
+        self, target: object, restriction: object, options: QueryOptions
+    ) -> tuple:
+        """The restricted memo's key for one query.
+
+        The target's identity (an index query and an external query for
+        the same values are different questions), the restriction and
+        the options an exact answer depends on.
+        """
+        values, _, own = _resolve_pool(self.dataset, target)
+        identity = ("external" if own is None else "index", values)
+        return (identity, restriction.key, options.method, options.det_kernel)
+
+    def _sync_restricted(self) -> None:
+        """Clear the restricted memo if the model was edited directly.
+
+        The memo records the model version its last edit, or
+        construction, left; at any other version the model was edited
+        other than through :meth:`update_preference`, which may have
+        changed any answer.
+        """
+        version = self._preferences.version
+        if version != self._restricted_version:
+            self._restricted_memo.clear()
+            self._restricted_version = version
+
+    def _restricted_lookup(self, memo_key: tuple) -> SkylineReport | None:
+        """The memoised answer under ``memo_key``, counted as a hit or a miss."""
+        self._sync_restricted()
+        entry = self._restricted_memo.get(memo_key)
+        if entry is None:
+            self._restricted_misses += 1
+            return None
+        self._restricted_hits += 1
+        return entry.report
+
+    def _restricted_store(self, memo_key: tuple, report: SkylineReport) -> None:
+        """Memoise an exact ``report`` under ``memo_key`` with its read keys.
+
+        The read keys are the competitors' differing ``(dimension,
+        value)`` keys against the target within the subspace; a
+        competitor equal to the target there has none, so the pool need
+        not leave the target out.
+        """
+        if not report.exact:
+            return
+        (_, target), (subset, dims), _, _ = memo_key
+        retained = None if dims is None else set(dims)
+        pool = range(len(self._objects)) if subset is None else subset
+        read_keys = set()
+        for position in pool:
+            for key in _differing_keys(self._objects[position], target):
+                if retained is None or key[0] in retained:
+                    read_keys.add(key)
+        self._restricted_memo[memo_key] = _RestrictedEntry(
+            report, target, frozenset(read_keys), subset is None
+        )
 
     def restricted_cache_info(self) -> dict:
         """Restricted-memo snapshot: ``{"entries", "hits", "misses"}``."""
@@ -600,6 +640,7 @@ class DynamicSkylineEngine:
         the views are left untouched (no torn state).
         """
         model = self._preferences
+        self._sync_restricted()
         had = model.has_preference(dimension, a, b)
         previous: Tuple[float, float] | None = None
         if had:
@@ -643,6 +684,7 @@ class DynamicSkylineEngine:
             else:
                 model.set_preference(dimension, a, b, *previous)
             self._cache.evict_preference(dimension, a, b)
+            self._restricted_version = model.version
             raise
         # Commit.
         for index, new_view in zip(refresh, new_views):
@@ -659,6 +701,7 @@ class DynamicSkylineEngine:
             return (dimension, other) in entry.read_keys
 
         restricted = self._purge_restricted(stale)
+        self._restricted_version = model.version
         return self._finish_edit(
             "update_preference", len(refresh),
             len(self._objects) - len(refresh), recomputed, reused, evicted,
@@ -778,6 +821,7 @@ class DynamicSkylineEngine:
                 engine._count_values(obj, +1)
             engine._edits = int(raw["edits"])
             engine._restricted_memo = {}
+            engine._restricted_version = preferences.version
             engine._restricted_hits = 0
             engine._restricted_misses = 0
             views_payload = raw["views"]

@@ -167,6 +167,7 @@ class SkylineProbabilityEngine:
         # preference model's mutation counter so in-place preference
         # updates (what-if analyses) invalidate automatically.
         self._exact_cache: dict = {}
+        self._memo_version = preferences.version
         self._memo_hits = 0
         self._memo_misses = 0
         self._codes: _ValueCodes | None = None  # built by the first tile
@@ -418,8 +419,9 @@ class SkylineProbabilityEngine:
         """Plan opened queries, appending their exact components to ``components``.
 
         The planning half of the multi-target form, which the dynamic
-        engine's view builds share.  ``queries`` are ``(position,
-        query)`` pairs of opened queries, planned in order; ``tiles``
+        engine's view builds and the restriction planner's grid share.
+        ``queries`` are ``(position, query)`` pairs of opened queries
+        with one options value and restriction, planned in order; ``tiles``
         holds the tile pass's outcomes (:meth:`_tile_outcomes`), and ``None``
         tiles the queries here, which must then be ``det``/``det+``/
         ``auto`` queries with a cache.  A query without a tile outcome is
@@ -723,6 +725,12 @@ class SkylineProbabilityEngine:
             report = replace(report, stats=stats)
             _record_query(stats)
         if report.exact:
+            version = query.key[-1]
+            if version > self._memo_version:
+                # Answers of an older preference version are never asked
+                # for again: drop them rather than keep them forever.
+                self._exact_cache.clear()
+                self._memo_version = version
             self._exact_cache[query.key] = report
         return report
 
@@ -797,6 +805,10 @@ class SkylineProbabilityEngine:
         not the answer was cacheable — sampled answers never are).  The
         counters describe the *current* cache generation:
         :meth:`clear_cache` resets them along with the entries.
+        ``entries`` holds answers of one preference version only:
+        memoising an answer at a newer version first drops the older
+        ones, which no query can ask for again (the counters keep
+        running).
         """
         return {
             "entries": len(self._exact_cache),
@@ -1019,79 +1031,20 @@ class _Query:
         return False
 
 
-class _ComponentMemo:
-    """Exact component results keyed on their factor structure.
-
-    Cells (or targets) inducing the same component share one Det
-    evaluation.  The key carries the kernel: ``"vec"`` differs from the
-    recursive kernels in the last ulps.  ``solves`` counts Det
-    evaluations performed (a ``det`` cell's included), ``hits`` results
-    served from the memo.
-    """
-
-    def __init__(self) -> None:
-        self.results: Dict[object, ExactResult] = {}
-        self.solves = 0
-        self.hits = 0
-
-
 class _TargetPlan(NamedTuple):
     """A ``det``/``det+``/``auto`` target waiting for its exact outcomes.
 
     ``steps`` holds one entry per partition, in order: the component's
-    position in the exact call (an ``int``), a memoised
-    :class:`ExactResult`, or the oversized part to sample (its member
-    positions).  ``keys`` maps a solved component's position to its
-    ``memo`` key.  ``sample(part, share, rng)`` estimates an oversized
-    part with the target's Sam options.
+    position in the exact call (an ``int``) or the oversized part to
+    sample (its member positions).  ``sample(part, share, rng)``
+    estimates an oversized part with the target's Sam options.
     """
 
     method: str
     prep: PreprocessResult | None
     steps: List[object]
-    memo: _ComponentMemo | None
-    keys: Dict[int, object]
     seed: object
     sample: Callable[[Sequence[int], int, object], SamplingResult] | None
-
-
-def _solve_target(
-    preferences: PreferenceModel,
-    options: QueryOptions,
-    target: ObjectValues,
-    count: int,
-    factors_of: Callable[[int], Sequence[DominanceFactor]],
-    objects_of: Callable[[int], ObjectValues],
-    prepare: Callable[[], PreprocessResult],
-    *,
-    duplicate: bool,
-    max_exact: int,
-    seed: object,
-    cache: DominanceCache | None,
-    memo: _ComponentMemo | None = None,
-) -> SkylineReport:
-    """``sky(target)`` against ``count`` competitors under ``options``.
-
-    The one solve behind every planner cell, in three steps: plan
-    (:func:`_plan_target`), one exact call over the target's
-    components, finish (:func:`_finish_target`).  The engine runs the
-    same steps around its own exact call, for one target or many.
-    """
-    components: List[Component] = []
-    plan = _plan_target(
-        preferences, options, target, count, factors_of, objects_of, prepare,
-        components, duplicate=duplicate, max_exact=max_exact, seed=seed,
-        cache=cache, memo=memo,
-    )
-    outcomes: List[ExactResult | Exception] = []
-    if components:
-        outcomes = _solve(
-            components,
-            max_objects=max_exact,
-            kernel=options.det_kernel,
-            deadline_at=None,
-        )
-    return _finish_target(plan, outcomes)
 
 
 def _plan_target(
@@ -1108,7 +1061,6 @@ def _plan_target(
     max_exact: int,
     seed: object,
     cache: DominanceCache | None,
-    memo: _ComponentMemo | None = None,
     forms: Sequence[Component | None] | None = None,
 ) -> SkylineReport | _TargetPlan:
     """Plan ``sky(target)`` by ``options.method``: a finished report, or
@@ -1123,11 +1075,10 @@ def _plan_target(
 
     ``det`` solves the whole pool as one component.  ``det+``/``auto``
     plan one step per Theorem-4 component: components within
-    ``max_exact`` go to Algorithm 1 — served by ``memo`` when it holds
-    them, else appended to ``components`` for the exact call in their
-    :class:`~repro.core.exact.Component` form — and oversized ones
-    either fail here (``det+``) or are sampled when the target is
-    finished.  ``forms`` holds the tile pass's components, one per
+    ``max_exact`` go to Algorithm 1 — appended to ``components`` for
+    the exact call in their :class:`~repro.core.exact.Component` form —
+    and oversized ones either fail here (``det+``) or are sampled when
+    the target is finished.  ``forms`` holds the tile pass's components, one per
     partition (``det``: the one); given them, ``factors_of`` is unused.
     """
     method = options.method
@@ -1140,13 +1091,13 @@ def _plan_target(
         )
         return SkylineReport(probability, "naive", True)
     if method == "det":
-        # The whole pool in one evaluation: counted, never memoised.
+        # The whole pool in one evaluation.
         steps = [len(components)]
         if forms is None:
             components.append(_component([factors_of(p) for p in range(count)]))
         else:
             components.append(forms[0])
-        return _TargetPlan("det", None, steps, memo, {}, seed, None)
+        return _TargetPlan("det", None, steps, seed, None)
     prep = None if method == "sam" else prepare()
     if method in ("sam", "sam+"):
         positions = range(count) if prep is None else prep.kept_indices
@@ -1176,25 +1127,15 @@ def _plan_target(
             f"max_exact_objects={max_exact}; use method='sam+' or 'auto'"
         )
     steps: List[object] = []
-    keys: Dict[int, object] = {}
     for number, part in enumerate(prep.partitions):
         if len(part) > max_exact:
             steps.append(part)
             continue
-        if forms is not None:
-            steps.append(len(components))
-            components.append(forms[number])
-            continue
-        factor_lists = [factors_of(member) for member in part]
-        if memo is not None:
-            key = (tuple(factor_lists), options.det_kernel)
-            known = memo.results.get(key)
-            if known is not None:
-                steps.append(known)
-                continue
-            keys[len(components)] = key
         steps.append(len(components))
-        components.append(_component(factor_lists))
+        if forms is None:
+            components.append(_component([factors_of(member) for member in part]))
+        else:
+            components.append(forms[number])
 
     def sample(part: Sequence[int], share: int, rng: object) -> SamplingResult:
         return skyline_probability_sampled(
@@ -1208,7 +1149,7 @@ def _plan_target(
             cache=cache,
         )
 
-    return _TargetPlan(method, prep, steps, memo, keys, seed, sample)
+    return _TargetPlan(method, prep, steps, seed, sample)
 
 
 def _finish_target(
@@ -1227,15 +1168,12 @@ def _finish_target(
     """
     if isinstance(plan, SkylineReport):
         return plan
-    sampled = sum(
-        1 for step in plan.steps if not isinstance(step, (int, ExactResult))
-    )
+    sampled = sum(1 for step in plan.steps if not isinstance(step, int))
     share = max(1, sampled)
     # One generator shared by all sampled partitions: re-seeding each
     # partition with the same integer would correlate their estimates
     # and bias the product.
     rng = as_rng(plan.seed) if sampled else None
-    memo = plan.memo
     probability = 1.0
     results: List[object] = []
     total_samples = 0
@@ -1245,14 +1183,6 @@ def _finish_target(
             result = outcomes[step]
             if isinstance(result, Exception):
                 raise result
-            if memo is not None:
-                memo.solves += 1
-                if step in plan.keys:
-                    memo.results[plan.keys[step]] = result
-            probability *= result.probability
-        elif isinstance(step, ExactResult):
-            result = step
-            memo.hits += 1
             probability *= result.probability
         else:
             result = plan.sample(step, share, rng)

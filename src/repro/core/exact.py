@@ -300,9 +300,9 @@ def det_from_factor_lists(
     """Exact ``sky`` from precomputed per-competitor factor lists.
 
     The factor-level twin of :func:`skyline_probability_det` for callers
-    that already hold each competitor's dominance factors — notably the
-    restriction planner, which computes full-dimension factors once and
-    *slices* them per subspace.  Semantics match the object-level entry
+    that already hold each competitor's dominance factors (for example
+    sliced to a subspace with
+    :func:`~repro.core.restricted.slice_factors`).  Semantics match the object-level entry
     point exactly: an empty factor tuple means the competitor coincides
     with the target on every dimension considered (duplicate convention,
     ``sky = 0``), zero-factor competitors are dropped, the surviving

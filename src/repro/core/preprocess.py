@@ -32,15 +32,14 @@ kernels evaluate; its results equal the per-target pipeline's exactly.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 import repro.obs as obs
-from repro.core.dominance import DominanceCache, DominanceFactor, factor_source
+from repro.core.dominance import DominanceCache, factor_source
 from repro.core.exact import Component
 from repro.core.objects import ObjectValues, Value, as_object
 from repro.core.preferences import PreferenceModel
@@ -131,10 +130,10 @@ def absorb_keys(
     """Absorption on precomputed ``Γ`` key tuples, one per competitor.
 
     This is the index-accelerated core of :func:`absorb`, factored out so
-    callers that already hold each competitor's differing keys (e.g. the
-    restriction planner, which *slices* full-dimension keys per subspace)
-    can run the identical pass without rebuilding objects.  Each tuple
-    lists its keys in dimension order, as :func:`preprocess` builds them.
+    callers that already hold each competitor's differing keys (e.g.
+    :func:`preprocess`) can run the identical pass without rebuilding
+    objects.  Each tuple lists its keys in dimension order, as
+    :func:`preprocess` builds them.
 
     Only a competitor that can absorb something scans.  A scan by ``X``
     removes the competitors whose ``Γ`` contains ``Γ(X)``; when ``Γ(X)``
@@ -219,8 +218,8 @@ def partition_keys(
     """Value-disjoint components over precomputed ``Γ`` key tuples.
 
     The union-find core of :func:`partition`, shared with callers that
-    slice full-dimension keys per subspace (restriction planning) and must
-    reproduce the exact same component structure per slice.
+    already hold each competitor's ``Γ`` (e.g. :func:`preprocess`) and
+    must reproduce the exact same component structure.
     """
     if indices is None:
         indices = range(len(keys))
@@ -252,21 +251,10 @@ def drop_never_dominators(
     pollute.
     """
     factors_of = factor_source(preferences, cache)
-    return _split_possible(
-        lambda position: factors_of(competitors[position], target),
-        range(len(competitors)) if indices is None else indices,
-    )
-
-
-def _split_possible(
-    factors_of: Callable[[int], Sequence[DominanceFactor]],
-    indices: Iterable[int],
-) -> Tuple[List[int], List[int]]:
-    """The zero-probability filter over a ``position -> factors`` lookup."""
     possible: List[int] = []
     impossible: List[int] = []
-    for position in indices:
-        for _, _, probability in factors_of(position):
+    for position in range(len(competitors)) if indices is None else indices:
+        for _, _, probability in factors_of(competitors[position], target):
             if probability == 0.0:
                 impossible.append(position)
                 break
@@ -341,61 +329,30 @@ def preprocess(
                     f"sky(target) would be 0 by the duplicate convention"
                 )
             keys.append(gamma)
-        drop_impossible = None
+        if use_absorption:
+            absorption = absorb_keys(keys)
+        else:
+            absorption = AbsorptionResult(tuple(range(len(keys))), {})
+        kept: Sequence[int] = absorption.kept_indices
+        dropped: Tuple[int, ...] = ()
         if preferences is not None:
-            drop_impossible = functools.partial(
-                drop_never_dominators, preferences, competitors, target,
-                cache=cache,
+            kept, impossible = drop_never_dominators(
+                preferences, competitors, target, kept, cache=cache
             )
-        result = _preprocess_keys(
-            target,
-            keys,
-            drop_impossible,
-            use_absorption=use_absorption,
-            use_partition=use_partition,
+            dropped = tuple(impossible)
+        if use_partition:
+            partitions = tuple(tuple(part) for part in partition_keys(keys, kept))
+        else:
+            partitions = (tuple(kept),) if kept else ()
+        result = PreprocessResult(
+            target=target,
+            kept_indices=tuple(kept),
+            absorbed_by=dict(absorption.absorbed_by),
+            dropped_impossible=dropped,
+            partitions=partitions,
         )
     _record_preprocess(result)
     return result
-
-
-def _preprocess_keys(
-    target: ObjectValues,
-    keys: Sequence[Tuple[_DifferingKey, ...]],
-    drop_impossible: Callable[[Sequence[int]], Tuple[List[int], List[int]]]
-    | None,
-    *,
-    use_absorption: bool = True,
-    use_partition: bool = True,
-) -> PreprocessResult:
-    """The pipeline on precomputed ``Γ`` key tuples, one per competitor.
-
-    Absorption, then ``drop_impossible`` (absorption survivors ->
-    ``(possible, impossible)``; ``None`` skips the filter), then
-    partition.  :func:`preprocess` and the restriction planner, which
-    slices full-dimension keys per subspace, both build their
-    :class:`PreprocessResult` here, so a sliced cell's structure is
-    exactly the one a materialised query gets.
-    """
-    if use_absorption:
-        absorption = absorb_keys(keys)
-    else:
-        absorption = AbsorptionResult(tuple(range(len(keys))), {})
-    kept: Sequence[int] = absorption.kept_indices
-    dropped: Tuple[int, ...] = ()
-    if drop_impossible is not None:
-        possible, impossible = drop_impossible(kept)
-        kept, dropped = possible, tuple(impossible)
-    if use_partition:
-        partitions = tuple(tuple(part) for part in partition_keys(keys, kept))
-    else:
-        partitions = (tuple(kept),) if kept else ()
-    return PreprocessResult(
-        target=target,
-        kept_indices=tuple(kept),
-        absorbed_by=dict(absorption.absorbed_by),
-        dropped_impossible=dropped,
-        partitions=partitions,
-    )
 
 
 def _record_preprocess(result: PreprocessResult) -> None:

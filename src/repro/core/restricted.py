@@ -11,25 +11,29 @@ The key reduction: restricting dominance to the subspace ``D`` is the
 same as replacing every competitor ``Q`` with its *materialisation*
 ``Q' = (Q.j if j ∈ D else O.j)`` — outside-subspace dimensions are
 neutralised by giving ``Q'`` the target's own value there, so ``Q'``
-can only beat ``O`` where ``D`` says it may.  Consequently:
+can only beat ``O`` where ``D`` says it may.  So every cell of a
+``targets × restrictions`` grid is an ordinary engine query, and the
+planner shares the engine's multi-target plan among them:
 
-* the dominance factors of ``Q'`` against ``O`` are the *slice* of
-  ``Q``'s full-dimension factors to ``D`` — so the planner computes each
-  ``(target, competitor)`` factor tuple **once** against the full
-  :class:`~repro.core.dominance.DominanceCache` and re-slices it per
-  subspace, never recomputing a factor two restrictions share;
-* absorption (Theorem 3) and partition (Theorem 4) run on the sliced
-  ``Γ`` keys through the same cores (:func:`~repro.core.preprocess.absorb_keys`,
-  :func:`~repro.core.preprocess.partition_keys`) the full pipeline uses,
-  so restricted answers are bit-for-bit what a per-restriction engine
-  query computes;
-* per-component Det solves are memoised on the sliced factor structure
-  itself, so restrictions (and targets) inducing the same component pay
-  for it once;
-* a competitor whose sliced factor list is empty coincides with the
-  target on every retained dimension — a *projected duplicate* — and
-  dominates with certainty, giving ``sky = 0`` exactly by the duplicate
-  convention.
+* each restriction's cells are planned together by the engine's
+  planning step, which runs the tile pass once they reach its crossover:
+  a restriction is a competitor pool and a subspace mask, and the tile
+  reads each ``(target, competitor, dimension)`` factor once, through
+  one bulk read of the :class:`~repro.core.dominance.DominanceCache`;
+* every component of the grid goes to one exact call, where identical
+  components (across restrictions and targets) are solved once and
+  ``"vec"`` components of one key structure are solved together;
+* a competitor equal to the target on every retained dimension — a
+  *projected duplicate* — dominates with certainty, giving ``sky = 0``
+  exactly by the duplicate convention.
+
+The plan is the engine's own, so restricted answers are bit-for-bit
+what a per-restriction engine query computes.  On a
+:class:`~repro.core.dynamic.DynamicSkylineEngine` each cell is first
+looked up in the engine's restricted memo, under the key its single
+restricted query uses, and each exact answer is stored there with the
+preference variables it read, so an edit re-plans only the cells it
+touches.
 
 The same reduction makes restrictions first-class everywhere else: the
 engine accepts ``competitors=``/``dims=`` on a single query (memo keys
@@ -40,22 +44,20 @@ the serve tier buckets coalesced requests on the restriction key.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.dominance import DominanceCache, DominanceFactor, factor_source
 from repro.core.engine import (
+    _TILE_METHODS,
     SkylineProbabilityEngine,
     SkylineReport,
-    _ComponentMemo,
+    _Query,
     _resolve_index,
-    _resolve_pool,
-    _solve_target,
 )
+from repro.core.exact import Component
 from repro.core.objects import Dataset, ObjectValues, Value, as_object
 from repro.core.options import QueryOptions, _index_tuple
-from repro.core.preprocess import _preprocess_keys, _split_possible
 from repro.errors import DimensionalityError, ReproError
 
 __all__ = [
@@ -153,10 +155,11 @@ def materialize_competitor(
     """
     if dims is None:
         return as_object(values)
-    retained = set(dims)
     return tuple(
-        value if dimension in retained else target[dimension]
-        for dimension, value in enumerate(values)
+        [
+            value if dimension in dims else target[dimension]
+            for dimension, value in enumerate(values)
+        ]
     )
 
 
@@ -184,10 +187,13 @@ class RestrictedResult:
 
     ``reports[i][j]`` is the :class:`~repro.core.engine.SkylineReport`
     for ``targets[i]`` under ``restrictions[j]``.  The sharing counters
-    describe the pass: ``factor_passes`` full-dimension factor tuples
-    were computed (once per live ``(target, competitor)`` pair),
-    ``component_solves``/``component_hits`` count Det component
-    evaluations performed vs served from the sliced-structure memo.
+    describe the shared pass over the cells it planned (a cell a
+    dynamic engine's memo served counts in its
+    ``restricted_cache_info()`` hits instead): ``factor_passes`` counts
+    the live ``(target, competitor)`` pairs, once per target however
+    many restrictions name the competitor; ``component_solves`` the
+    exact components the pass's one exact call solved, and
+    ``component_hits`` the components an identical one served.
     """
 
     targets: Tuple[object, ...]
@@ -279,24 +285,33 @@ def restricted_skyline_probabilities(
     method, epsilon, delta, samples, det_kernel:
         The query options (:class:`~repro.core.options.QueryOptions`)
         the planner takes, checked before any work.  The default
-        ``det_kernel="auto"`` routes each sliced component by its
-        dominator count, exactly as the engine does, so the shared pass
-        still equals ``share_pass=False`` bit for bit.
+        ``det_kernel="auto"`` routes each component by its dominator
+        count, exactly as the engine does, so the shared pass still
+        equals ``share_pass=False`` bit for bit.
     seed:
         Root seed for the sampling methods.  Per-item seeds are spawned
         exactly as the batch planner spawns them
         (:func:`~repro.core.batch.spawn_batch_seeds`, row-major over the
         ``targets × restrictions`` grid), so answers are bit-reproducible
-        and independent of how the grid is grouped.
+        and independent of how the grid is grouped; a memo-served cell
+        keeps its slot.
     cache:
-        Optional shared :class:`~repro.core.dominance.DominanceCache`.
+        Optional shared :class:`~repro.core.dominance.DominanceCache`;
+        one built for another model raises
+        :class:`~repro.errors.PreferenceError` before any work.  Without
+        one the shared pass plans through a private cache.
     share_pass:
-        ``True`` (default) runs the shared dominance pass described in
-        the module docstring.  ``False`` answers every grid cell with an
-        independent engine query — the ablation baseline the
+        ``True`` (default) runs the shared pass described in the module
+        docstring.  ``False`` answers every grid cell with an
+        independent engine query, never touching a dynamic engine's
+        restricted memo — the ablation baseline the
         ``restricted_sharing`` experiment measures against, and the
         differential oracle the shared pass must match bit-for-bit on
         the exact methods.
+
+    The first failing cell in row-major order raises its error: a
+    target that does not resolve, a planning error (the ``det+``
+    budget) or a failed component.
     """
     # Imported here, not at module top: batch imports the engine, which
     # lazily imports this module — keep the lazy edge in one place.
@@ -304,12 +319,13 @@ def restricted_skyline_probabilities(
 
     # A DynamicSkylineEngine exposes its static engine as `.engine`;
     # unwrap it (duck-typed, as the batch planner does) so the shared
-    # pass solves with the same exact budget as share_pass=False.
+    # pass solves with the same exact budget as share_pass=False, and
+    # keep it: its restricted memo serves the shared pass's cells.
+    dynamic = None
     inner = getattr(engine, "engine", None)
     if isinstance(inner, SkylineProbabilityEngine):
-        engine = inner
+        dynamic, engine = engine, inner
     dataset = engine.dataset
-    preferences = engine.preferences
     options = QueryOptions(
         method=method,
         epsilon=epsilon,
@@ -323,19 +339,18 @@ def restricted_skyline_probabilities(
     target_list = list(targets)
     if not target_list:
         raise ReproError("targets must name at least one target")
-    seeds = iter(
-        spawn_batch_seeds(
-            options.method, len(target_list) * len(restriction_list), seed=seed
-        )
+    seeds = spawn_batch_seeds(
+        options.method, len(target_list) * len(restriction_list), seed=seed
     )
 
     if not share_pass:
         keywords = options.as_kwargs()
+        spawned = iter(seeds)
         rows = tuple(
             tuple(
                 engine.skyline_probability(
                     target,
-                    seed=next(seeds),
+                    seed=next(spawned),
                     cache=cache,
                     **dict(
                         keywords,
@@ -351,77 +366,83 @@ def restricted_skyline_probabilities(
             tuple(target_list), tuple(restriction_list), rows, shared_pass=False
         )
 
-    factors_of = factor_source(preferences, cache)
-    memo = _ComponentMemo()
-    factor_passes = 0
-    rows = []
-    for target in target_list:
-        cells = [
-            _resolve_pool(dataset, target, restriction)
-            for restriction in restriction_list
-        ]
-        target_values = cells[0][0]
-        pools = [pool for _, pool, _ in cells]
-        # The union of every restriction's pool, factored once each.
-        full_factors = {
-            index: factors_of(dataset[index], target_values)
-            for index in sorted({index for pool in pools for index in pool})
-        }
-        factor_passes += len(full_factors)
-        # Restrictions sharing a subspace share each competitor's slice
-        # and its (dimension, value) key — computed once per (member,
-        # dims) pair, not once per restriction.
-        slice_cache: Dict[object, Tuple[Tuple, Tuple]] = {}
-        row = []
-        for restriction, pool in zip(restriction_list, pools):
-            sliced = []
-            keys = []
-            for index in pool:
-                entry = slice_cache.get((index, restriction.dims))
-                if entry is None:
-                    factors = slice_factors(
-                        full_factors[index], restriction.dims
+    # A cache built for another model fails here, before any work.
+    factor_source(engine.preferences, cache)
+    if cache is None:
+        cache = DominanceCache(engine.preferences)
+    width = len(restriction_list)
+    # Per cell, row-major: its report, or the exception it raised.
+    cells: List[object] = [None] * (len(target_list) * width)
+    columns: List[List[Tuple[int, _Query]]] = [[] for _ in restriction_list]
+    memo_keys: Dict[int, object] = {}
+    try:
+        for position, target in enumerate(target_list):
+            for column, restriction in enumerate(restriction_list):
+                cell = position * width + column
+                if dynamic is not None:
+                    memo_keys[cell] = dynamic._restricted_key(
+                        target, restriction, options
                     )
-                    entry = (
-                        factors,
-                        tuple(
-                            (dimension, value)
-                            for dimension, value, _ in factors
-                        ),
-                    )
-                    slice_cache[(index, restriction.dims)] = entry
-                sliced.append(entry[0])
-                keys.append(entry[1])
-            row.append(
-                _solve_target(
-                    preferences,
+                    cells[cell] = dynamic._restricted_lookup(memo_keys[cell])
+                    if cells[cell] is not None:
+                        continue
+                query = engine._open(
+                    target,
                     options,
-                    target_values,
-                    len(pool),
-                    sliced.__getitem__,
-                    lambda position: materialize_competitor(
-                        dataset[pool[position]], target_values, restriction.dims
-                    ),
-                    lambda: _preprocess_keys(
-                        target_values,
-                        keys,
-                        functools.partial(_split_possible, sliced.__getitem__),
-                    ),
-                    # An empty slice is a projected duplicate.
-                    duplicate=not all(sliced),
-                    max_exact=engine.max_exact_objects,
-                    seed=next(seeds),
-                    cache=cache,
-                    memo=memo,
+                    None if restriction.is_full else restriction,
+                    seeds[cell],
+                    cache,
                 )
-            )
-        rows.append(tuple(row))
+                columns[column].append((cell, query))
+    except Exception as error:
+        # A target that fails to open fails its first cell; no later
+        # cell can be the first failure in row-major order.
+        cells[cell] = error
+    # Each restriction's cells are planned together (the tile pass takes
+    # one pool and subspace), and every component goes to one exact call.
+    components: List[Component] = []
+    planned: List[Tuple[int, _Query]] = []
+    tiles = None if options.method in _TILE_METHODS else {}
+    for column in filter(None, columns):
+        starts = engine._plan_queries(column, components, None, tiles)
+        for (cell, query), start in zip(column, starts):
+            if isinstance(start, Exception):
+                cells[cell] = start
+            else:
+                planned.append((cell, query))
+    # Identical components, of one cell or of many, are solved once.
+    unique: Dict[Component, int] = {}
+    slots = [unique.setdefault(component, len(unique)) for component in components]
+    outcomes: List[object] = []
+    if unique:
+        solved = engine._exact(list(unique), options.det_kernel)
+        outcomes = [solved[slot] for slot in slots]
+    pools: Dict[int, set] = {}  # per target, its planned cells' competitors
+    for cell, query in planned:
+        try:
+            with query:
+                cells[cell] = engine._finish(query, outcomes)
+        except Exception as error:
+            cells[cell] = error
+            continue
+        if cell in memo_keys:
+            dynamic._restricted_store(memo_keys[cell], cells[cell])
+        pool = pools.setdefault(cell // width, set())
+        subset = None if query.restriction is None else query.restriction.competitors
+        pool.update(range(len(dataset)) if subset is None else subset)
+        pool.discard(query.own)
+    for cell in cells:
+        if isinstance(cell, Exception):
+            raise cell
     return RestrictedResult(
         tuple(target_list),
         tuple(restriction_list),
-        tuple(rows),
+        tuple(
+            tuple(cells[start : start + width])
+            for start in range(0, len(cells), width)
+        ),
         shared_pass=True,
-        factor_passes=factor_passes,
-        component_solves=memo.solves,
-        component_hits=memo.hits,
+        factor_passes=sum(map(len, pools.values())),
+        component_solves=len(unique),
+        component_hits=len(components) - len(unique),
     )

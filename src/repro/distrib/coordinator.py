@@ -340,9 +340,9 @@ class ShardCoordinator:
         config = self._config
         query = QueryOptions(**options)
         engine._restriction(query)  # the restriction's ranges, before any worker
-        validate_robustness(
-            max_retries=config.max_shard_retries, backoff=config.backoff
-        )
+        # The config is mutable: a field set after construction is checked
+        # here, before any worker starts.
+        self._validate_config()
         if fault_injector is not None and not callable(
             getattr(fault_injector, "before_task", None)
         ):

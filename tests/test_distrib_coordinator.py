@@ -354,6 +354,56 @@ class TestValidation:
             coordinator.run(det_kernel="nope")
 
 
+#: One bad value per checked DistribConfig field.
+BAD_CONFIG_FIELDS = {
+    "workers": 0,
+    "on_error": "ignore",
+    "stall_timeout": float("nan"),
+    "poll_interval": float("inf"),
+    "run_timeout": 0.0,
+    "hedge_multiplier": float("nan"),
+    "hedge_floor": -1.0,
+    "max_shard_retries": -1,
+    "task_retries": 1.5,
+    "hedge_min_completions": True,
+    "backoff": float("nan"),
+}
+
+
+class TestConfigCheckedAtRun:
+    """``config`` is a mutable dataclass: ``run()`` checks it again."""
+
+    @pytest.mark.parametrize("field", sorted(BAD_CONFIG_FIELDS))
+    def test_field_changed_after_construction_raises_before_any_worker(
+        self, field, monkeypatch
+    ):
+        import repro.distrib.coordinator as coordinator
+
+        def no_workers(*args, **kwargs):
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr(coordinator, "_SupervisedRun", no_workers)
+        value = BAD_CONFIG_FIELDS[field]
+        with pytest.raises(RobustnessPolicyError) as at_construction:
+            ShardCoordinator(
+                _engine(6), DistribConfig(**{"workers": 1, field: value})
+            )
+        sharded = ShardCoordinator(_engine(60), DistribConfig(workers=1))
+        setattr(sharded.config, field, value)
+        with pytest.raises(RobustnessPolicyError) as at_run:
+            sharded.run(method="det+")
+        assert str(at_run.value) == str(at_construction.value)
+
+    def test_default_config_still_runs(self):
+        engine = _engine(12)
+        result = ShardCoordinator(
+            engine, DistribConfig(workers=1, **FAST)
+        ).run(method="det+")
+        assert _same_answers(
+            batch_skyline_probabilities(engine, method="det+"), result
+        )
+
+
 class TestDistribCLI:
     @pytest.fixture
     def inputs(self, tmp_path):

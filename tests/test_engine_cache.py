@@ -137,6 +137,44 @@ class TestExactCache:
         assert len(set(values)) == 3
 
 
+class TestOlderVersionsDropped:
+    """Answers of an older preference version are never asked again."""
+
+    def test_entries_hold_only_the_current_version(self, engine):
+        for target in range(3):
+            engine.skyline_probability(target, method="det")
+        assert engine.cache_info() == {"entries": 3, "hits": 0, "misses": 3}
+        engine.preferences.set_preference(0, "a", "b", 0.1)
+        fresh = engine.skyline_probability(1, method="det")
+        # The edit is not clear_cache: the counters keep running.
+        assert engine.cache_info() == {"entries": 1, "hits": 0, "misses": 4}
+        assert engine.skyline_probability(1, method="det") is fresh
+        assert engine.cache_info() == {"entries": 1, "hits": 1, "misses": 4}
+
+    def test_current_entries_still_answer(self, engine):
+        engine.skyline_probability(0, method="det")
+        engine.preferences.set_preference(1, "x", "y", 0.2)
+        answers = {
+            (target, method): engine.skyline_probability(target, method=method)
+            for target in range(3)
+            for method in ("det", "det+")
+        }
+        assert engine.cache_info()["entries"] == len(answers)
+        rebuilt = SkylineProbabilityEngine(engine.dataset, engine.preferences)
+        for (target, method), report in answers.items():
+            assert engine.skyline_probability(target, method=method) is report
+            assert repr(report) == repr(
+                rebuilt.skyline_probability(target, method=method)
+            )
+
+    def test_a_sampled_answer_keeps_the_older_entries(self, engine):
+        engine.skyline_probability(0, method="det")
+        engine.preferences.set_preference(0, "a", "b", 0.3)
+        engine.skyline_probability(0, method="sam", samples=20, seed=1)
+        # Nothing was memoised at the new version, so nothing was dropped.
+        assert engine.cache_info()["entries"] == 1
+
+
 class TestSurgicalEviction:
     """The dominance cache's partition-scoped alternative to clear()."""
 
