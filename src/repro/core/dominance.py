@@ -139,7 +139,9 @@ class DominanceCache:
 
     Staleness is detected through :attr:`PreferenceModel.version`: any
     in-place preference edit (a what-if analysis, say) bumps the counter
-    and the next cache access drops every memoised entry, so stale answers
+    and the next access drops exactly the entries that read a pair the
+    model's edit log names since (:meth:`PreferenceModel._edits_since`),
+    or every entry when the log no longer reaches back, so stale answers
     are impossible by construction.
 
     ``hits``/``misses`` count memo-table lookups (both tables) — they are
@@ -208,7 +210,7 @@ class DominanceCache:
 
     @property
     def evictions(self) -> int:
-        """Entries surgically removed by :meth:`evict_preference`."""
+        """Entries dropped because a logged model edit touched their pair."""
         return self._evictions
 
     def counters(self) -> Dict[str, int]:
@@ -216,9 +218,11 @@ class DominanceCache:
 
         These are the numbers :class:`repro.obs.QueryStats` cache deltas
         are measured against; the stats CLI and the observability tests
-        read them through this one accessor.
+        read them through this one accessor.  It catches up with the
+        model first, so the snapshot counts the evictions of every edit.
         """
         with self._lock:
+            self._validate()
             return {
                 "hits": self._hits,
                 "misses": self._misses,
@@ -233,69 +237,51 @@ class DominanceCache:
             self._factors.clear()
             self._index = None
 
-    def evict_preference(self, dimension: int, a: Value, b: Value) -> int:
-        """Surgically drop every entry that read the ``{a, b}`` pair.
-
-        The alternative to a full :meth:`clear` after an in-place edit of
-        one preference pair: only the ``_prefers`` entries for the pair
-        itself and the ``_factors`` entries whose target/competitor values
-        on ``dimension`` are exactly ``{a, b}`` can be stale — every other
-        entry is a pure function of *unchanged* pairs and stays warm.
-
-        The cache is then re-validated against the model's current
-        :attr:`~PreferenceModel.version`, so the automatic whole-cache
-        invalidation does not fire on the next lookup.  **Contract**: the
-        only model mutation since the cache was last consistent must be
-        the edit of this one pair (that is what
-        :class:`repro.core.dynamic.DynamicSkylineEngine` guarantees by
-        evicting immediately after every single edit); interleaving other
-        edits without their own evictions would retain stale entries.
-
-        Returns the number of entries removed; ``hits``/``misses`` are
-        kept (they count lifetime lookups) and :attr:`evictions` grows by
-        the same number.
-
-        The first eviction indexes the factor table by target, one pass
-        over it; from then on every factor miss adds its entry to the
-        index.  An eviction then reads only the competitors memoised
-        against targets holding ``a`` or ``b`` on ``dimension``, not the
-        whole table.  :meth:`clear` and a version change drop the index,
-        so a cache that never evicts never pays for it.
-        """
-        with self._lock:
-            removed = 0
-            for key in ((dimension, a, b), (dimension, b, a)):
-                if self._prefers.pop(key, None) is not None:
-                    removed += 1
-            if self._index is None:
-                self._index = {}
-                for q, o in self._factors:
-                    self._index.setdefault(o, set()).add(q)
-            for target, competitors in self._index.items():
-                if dimension >= len(target):
-                    continue
-                if target[dimension] == a:
-                    other = b
-                elif target[dimension] == b:
-                    other = a
-                else:
-                    continue
-                stale = [q for q in competitors if q[dimension] == other]
-                for q in stale:
-                    del self._factors[(q, target)]
-                competitors.difference_update(stale)
-                removed += len(stale)
-            self._version = self._preferences.version
-            self._evictions += removed
-            return removed
-
     def _validate(self) -> None:
+        """Catch up with the model's edits since the version last seen."""
         version = self._preferences.version
-        if version != self._version:
+        if version == self._version:
+            return
+        edits = self._preferences._edits_since(self._version)
+        if edits is None:
             self._prefers.clear()
             self._factors.clear()
             self._index = None
-            self._version = version
+        else:
+            for dimension, a, b in edits:
+                self._evictions += self._evict(dimension, a, b)
+        self._version = version
+
+    def _evict(self, dimension: int, a: Value, b: Value) -> int:
+        """Drop every entry that read the ``{a, b}`` pair; return how many.
+
+        The first eviction indexes the factor table by target, and every
+        later miss files its entry there, so an eviction reads only the
+        competitors memoised against targets holding ``a`` or ``b``.
+        """
+        removed = 0
+        for key in ((dimension, a, b), (dimension, b, a)):
+            if self._prefers.pop(key, None) is not None:
+                removed += 1
+        if self._index is None:
+            self._index = {}
+            for q, o in self._factors:
+                self._index.setdefault(o, set()).add(q)
+        for target, competitors in self._index.items():
+            if dimension >= len(target):
+                continue
+            if target[dimension] == a:
+                other = b
+            elif target[dimension] == b:
+                other = a
+            else:
+                continue
+            stale = [q for q in competitors if q[dimension] == other]
+            for q in stale:
+                del self._factors[(q, target)]
+            competitors.difference_update(stale)
+            removed += len(stale)
+        return removed
 
     def prob_prefers(self, dimension: int, a: Value, b: Value) -> float:
         """Memoised ``PreferenceModel.prob_prefers``."""

@@ -21,11 +21,12 @@ paper's own structure as the unit of invalidation:
 
 Edit cost model:
 
-* ``update_preference(dim, a, b, p)`` refreshes only targets whose own
-  value on ``dim`` is ``a`` or ``b`` (all others read none of the changed
-  variables), and within a refreshed target recomputes only components
-  that read the changed pair.  The shared dominance cache is *surgically*
-  evicted (:meth:`DominanceCache.evict_preference`) instead of cleared.
+* A preference edit — ``update_preference(dim, a, b, p)``, or an edit
+  made directly on the model, caught up before the next read — refreshes
+  only targets whose own value on ``dim`` is ``a`` or ``b`` (all others
+  read none of the changed variables), and within a refreshed target
+  recomputes only components that read the changed pair.  The shared
+  dominance cache drops only the entries that read it.
 * ``insert_object(values)`` classifies the new object against each view:
   absorbed or impossible ⇒ the view is provably unchanged; otherwise only
   the components sharing a key with the new object are locally re-merged,
@@ -44,7 +45,7 @@ only the components that must be re-solved go to that call.
 
 Every edit is **transactional**: new view state is staged and swapped in
 only after the whole edit succeeds, and a failed ``update_preference``
-rolls the model and cache back — a mid-edit crash (see the chaos suite)
+restores the pair — a mid-edit crash (see the chaos suite)
 leaves the engine exactly as it was.  The maintained view is Det-exact
 (``det+`` semantics): answers are bit-for-bit identical to a fresh
 engine rebuilt from the same state, which is what the stateful
@@ -57,7 +58,7 @@ import json
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 import repro.obs as obs
 from repro.core.dominance import DominanceCache
@@ -77,7 +78,7 @@ from repro.core.engine import (
 )
 from repro.core.objects import Dataset, ObjectValues, Value, as_object
 from repro.core.options import QueryOptions, _check_det_kernel
-from repro.core.preferences import PreferenceModel
+from repro.core.preferences import PreferenceModel, _check_probability
 from repro.core.preprocess import _differing_keys, partition
 from repro.core.restricted import normalize_restriction
 from repro.errors import DatasetError, DimensionalityError, DuplicateObjectError, ReproError
@@ -177,8 +178,8 @@ class EditReport:
     ``targets_refreshed``/``targets_skipped`` partition the (other)
     objects of the dataset; ``partitions_recomputed`` counts exact
     component solves, ``partitions_reused`` cached factors multiplied
-    back, and ``cache_evictions`` surgically dropped
-    :class:`DominanceCache` entries (preference edits only).
+    back, and ``cache_evictions`` the :class:`DominanceCache` entries
+    that read the edited pair (preference edits only).
     ``restricted_evictions`` counts memoised restricted answers dropped
     because the edit touched their ``(dimension, value)`` keys or
     competitor pool (see :meth:`DynamicSkylineEngine.restricted_skyline_probability`).
@@ -207,8 +208,8 @@ class DynamicSkylineEngine:
     ----------
     dataset, preferences:
         Initial state; the model is edited *in place* by
-        :meth:`update_preference`, so it must not be shared with callers
-        that assume immutability.
+        :meth:`update_preference`, and edits made on it directly are
+        caught up before the next read or edit.
     max_exact_objects:
         Per-component budget for the exact solver.  The view is
         Det-exact: a component larger than the budget raises
@@ -234,11 +235,10 @@ class DynamicSkylineEngine:
         restores it: a snapshot written while ``"fast"`` was the
         default names ``"fast"`` and keeps that kernel.
 
-    The engine is not thread-safe for concurrent edits; reads of the
-    maintained view are plain attribute reads and may race an edit only
-    with stale-but-consistent results.  Callers that mix concurrent
-    queries and edits must serialise them externally — the serving tier
-    (:mod:`repro.serve`) does so by funnelling every engine operation
+    The engine is not thread-safe: a read first catches the views up
+    with the model, repairing (and possibly raising) as an edit does, so
+    callers that mix concurrent queries and edits must serialise them —
+    the serving tier (:mod:`repro.serve`) funnels every engine operation
     through one executor thread.  The shared :attr:`cache` itself is
     thread-safe (see :class:`~repro.core.dominance.DominanceCache`).
     """
@@ -264,21 +264,12 @@ class DynamicSkylineEngine:
         self._objects: List[ObjectValues] = list(dataset)
         self._labels: List[str] = list(dataset.labels)
         self._label_counter = len(self._objects)
-        self._value_counts: List[Dict[Value, int]] = [
-            {} for _ in range(dataset.dimensionality)
-        ]
-        for obj in self._objects:
-            self._count_values(obj, +1)
         self._edits = 0
         self._restricted_memo: Dict[object, _RestrictedEntry] = {}
-        self._restricted_version = preferences.version
         self._restricted_hits = 0
         self._restricted_misses = 0
-        components: List[Component] = []
-        staged, _, _ = self._plan_views(
-            self._engine, range(len(self._objects)), components
-        )
-        self._views = self._solve_views(self._engine, staged, components)
+        self._version = -1  # the model version the views and memo hold: none yet
+        self._sync()
 
     # ------------------------------------------------------------------
     # Read side
@@ -305,7 +296,7 @@ class DynamicSkylineEngine:
 
     @property
     def cache(self) -> DominanceCache:
-        """The shared dominance cache (surgically evicted, never cleared)."""
+        """The shared dominance cache (it catches up from the model's edit log)."""
         return self._cache
 
     @property
@@ -321,20 +312,24 @@ class DynamicSkylineEngine:
     @property
     def total_partitions(self) -> int:
         """Cached Theorem-4 components across all maintained views."""
+        self._sync()
         return sum(len(view.factors) for view in self._views)
 
     def view(self, index: int) -> TargetView:
         """The maintained view for one object index."""
+        self._sync()
         return self._views[_resolve_index(self.dataset, index)]
 
     def skyline_probabilities(self) -> List[float]:
         """Exact ``sky`` for every object, served warm from the view."""
+        self._sync()
         return [view.probability for view in self._views]
 
     def probabilistic_skyline(self, tau: float) -> List[int]:
         """Indices with ``sky ≥ τ``, from the warm view (no recompute)."""
         if not 0 < tau <= 1:
             raise ReproError(f"threshold tau must lie in (0, 1], got {tau!r}")
+        self._sync()
         return [
             index
             for index, view in enumerate(self._views)
@@ -344,6 +339,7 @@ class DynamicSkylineEngine:
     def top_k(self, k: int) -> List[Tuple[int, float]]:
         """The ``k`` most probable skyline objects, from the warm view."""
         _check_count("k", k, minimum=1)
+        self._sync()
         ranked = sorted(
             ((index, view.probability) for index, view in enumerate(self._views)),
             key=lambda pair: (-pair[1], pair[0]),
@@ -385,9 +381,9 @@ class DynamicSkylineEngine:
         dimension and the opposite value is among its read keys; an
         insert drops only full-pool entries (an explicit competitor
         subset is index-stable under append); a remove drops everything
-        (indices shift).  Sampled answers are never memoised, and a
-        model edited other than through :meth:`update_preference`
-        clears the memo at the next lookup.  The shared pass of
+        (indices shift).  The rule holds for an edit made directly on
+        the model too, caught up at the next lookup (:meth:`_sync`).
+        Sampled answers are never memoised.  The shared pass of
         :func:`~repro.core.restricted.restricted_skyline_probabilities`
         on this engine reads and fills the same memo, cell by cell,
         under the same key.  The options are checked before the memo is
@@ -427,22 +423,9 @@ class DynamicSkylineEngine:
         identity = ("external" if own is None else "index", values)
         return (identity, restriction.key, options.method, options.det_kernel)
 
-    def _sync_restricted(self) -> None:
-        """Clear the restricted memo if the model was edited directly.
-
-        The memo records the model version its last edit, or
-        construction, left; at any other version the model was edited
-        other than through :meth:`update_preference`, which may have
-        changed any answer.
-        """
-        version = self._preferences.version
-        if version != self._restricted_version:
-            self._restricted_memo.clear()
-            self._restricted_version = version
-
     def _restricted_lookup(self, memo_key: tuple) -> SkylineReport | None:
         """The memoised answer under ``memo_key``, counted as a hit or a miss."""
-        self._sync_restricted()
+        self._sync()
         entry = self._restricted_memo.get(memo_key)
         if entry is None:
             self._restricted_misses += 1
@@ -474,6 +457,7 @@ class DynamicSkylineEngine:
 
     def restricted_cache_info(self) -> dict:
         """Restricted-memo snapshot: ``{"entries", "hits", "misses"}``."""
+        self._sync()
         return {
             "entries": len(self._restricted_memo),
             "hits": self._restricted_hits,
@@ -507,6 +491,7 @@ class DynamicSkylineEngine:
         The new object's own view is computed fresh.  Staged state is
         swapped in atomically at the end.
         """
+        self._sync()
         values = as_object(values)
         if len(values) != self.dataset.dimensionality:
             raise DimensionalityError(
@@ -551,7 +536,6 @@ class DynamicSkylineEngine:
         self._label_counter = counter
         self._objects = new_objects
         self._labels = labels
-        self._count_values(values, +1)
         self._views = views
         self._engine = engine
         # Full-pool restricted answers gained a competitor; explicit
@@ -574,6 +558,7 @@ class DynamicSkylineEngine:
         factor reuse; competitors the removed object had absorbed are
         revived by the fresh preprocessing pass.
         """
+        self._sync()
         index = self._position(target)
         if len(self._objects) == 1:
             raise DatasetError("cannot remove the last object of the dataset")
@@ -606,7 +591,6 @@ class DynamicSkylineEngine:
         # Commit.
         self._objects = new_objects
         self._labels = labels
-        self._count_values(removed, -1)
         self._views = views
         self._engine = engine
         # Dataset indices shifted: every restricted memo key may now
@@ -627,85 +611,39 @@ class DynamicSkylineEngine:
     ) -> EditReport:
         """Re-set one preference pair and repair only the touched views.
 
-        A target reads the changed pair only through a competitor-side
-        variable ``(dimension, other)`` against its own value — so only
-        targets whose value on ``dimension`` is ``a`` or ``b`` (and that
-        actually face a competitor holding the other value) are
-        refreshed, and within them only components whose key set contains
-        the other value are recomputed.  The dominance cache loses
-        exactly the entries that read the pair
-        (:meth:`DominanceCache.evict_preference`).
+        Sets the pair, then catches up as after a direct model edit
+        (:meth:`_sync`), once earlier direct edits are caught up, so the
+        report counts this pair's repair alone: only the components that
+        read the pair are re-solved, and the dominance cache and the
+        restricted memo lose exactly the entries that read it.
 
-        On any mid-edit failure the model and cache are rolled back and
-        the views are left untouched (no torn state).
+        On any mid-edit failure the pair is restored and the views and
+        the memo are left untouched (no torn state).
         """
+        self._sync()
         model = self._preferences
-        self._sync_restricted()
-        had = model.has_preference(dimension, a, b)
         previous: Tuple[float, float] | None = None
-        if had:
+        if model.has_preference(dimension, a, b):
             previous = (
                 model.prob_prefers(dimension, a, b),
                 model.prob_prefers(dimension, b, a),
             )
+        evictions = self._cache.counters()["evictions"]
         model.set_preference(dimension, a, b, prob_a_over_b, prob_b_over_a)
-        evicted = self._cache.evict_preference(dimension, a, b)
         try:
-            refresh: List[int] = []
-            for index, target in enumerate(self._objects):
-                own = target[dimension]
-                if own == a:
-                    other = b
-                elif own == b:
-                    other = a
-                else:
-                    continue
-                if self._value_counts[dimension].get(other, 0) == 0:
-                    # No object holds the opposite value: no dominance
-                    # variable of this target reads the edited pair.
-                    continue
-                self._failpoint(len(refresh))
-                refresh.append(index)
-            components: List[Component] = []
-            # A target reads the pair through the value it does not hold.
-            staged, recomputed, reused = self._plan_views(
-                self._engine,
-                refresh,
-                components,
-                [self._views[index] for index in refresh],
-                frozenset({(dimension, a), (dimension, b)}),
-            )
-            new_views = self._solve_views(self._engine, staged, components)
+            refreshed, recomputed, reused, restricted = self._sync()
         except BaseException:
-            # Roll back: restore the pair (or its absence), resync the
-            # cache, and leave every view exactly as it was.
+            # Roll back: restore the pair (or its absence); the views and
+            # the memo still hold for the restored model.
             if previous is None:
                 model.delete_preference(dimension, a, b)
             else:
                 model.set_preference(dimension, a, b, *previous)
-            self._cache.evict_preference(dimension, a, b)
-            self._restricted_version = model.version
+            self._version = model.version
             raise
-        # Commit.
-        for index, new_view in zip(refresh, new_views):
-            self._views[index] = new_view
-
-        def stale(entry: _RestrictedEntry) -> bool:
-            own = entry.target[dimension]
-            if own == a:
-                other: Value = b
-            elif own == b:
-                other = a
-            else:
-                return False
-            return (dimension, other) in entry.read_keys
-
-        restricted = self._purge_restricted(stale)
-        self._restricted_version = model.version
         return self._finish_edit(
-            "update_preference", len(refresh),
-            len(self._objects) - len(refresh), recomputed, reused, evicted,
-            restricted,
+            "update_preference", refreshed, len(self._objects) - refreshed,
+            recomputed, reused, self._cache.evictions - evictions, restricted,
         )
 
     # ------------------------------------------------------------------
@@ -726,6 +664,7 @@ class DynamicSkylineEngine:
         Values must be JSON-serialisable (the same constraint as
         :func:`repro.io.save_dataset`).
         """
+        self._sync()
         index_of = {obj: index for index, obj in enumerate(self._objects)}
         payload = {
             "format": VIEW_SNAPSHOT_FORMAT,
@@ -815,13 +754,17 @@ class DynamicSkylineEngine:
             engine._cache = DominanceCache(preferences)
             engine._objects = objects
             engine._labels = labels
+            # Checks the budget, and the objects against the model.
+            engine._engine = engine._bind(objects, labels)
+            if engine.dataset.dimensionality != dimensionality:
+                raise DatasetError(
+                    f"snapshot declares {dimensionality} dimensions for "
+                    f"{engine.dataset.dimensionality}-dimensional objects"
+                )
             engine._label_counter = int(raw["label_counter"])
-            engine._value_counts = [{} for _ in range(dimensionality)]
-            for obj in objects:
-                engine._count_values(obj, +1)
             engine._edits = int(raw["edits"])
             engine._restricted_memo = {}
-            engine._restricted_version = preferences.version
+            engine._version = preferences.version
             engine._restricted_hits = 0
             engine._restricted_misses = 0
             views_payload = raw["views"]
@@ -844,32 +787,105 @@ class DynamicSkylineEngine:
                     )
                     result_payload = factor_payload["result"]
                     result = ExactResult(
-                        float(result_payload["probability"]),
-                        int(result_payload["terms_evaluated"]),
-                        int(result_payload["objects_used"]),
+                        _check_probability(
+                            result_payload["probability"], "a factor probability"
+                        ),
+                        result_payload["terms_evaluated"],
+                        result_payload["objects_used"],
                     )
+                    _check_count("terms_evaluated", result.terms_evaluated, minimum=0)
+                    _check_count("objects_used", result.objects_used, minimum=0)
                     factors.append(PartitionFactor(members, keys, result))
                 views.append(engine._assemble_view(objects[index], factors))
             engine._views = views
         except DatasetError:
             raise
-        except (KeyError, IndexError, TypeError, ValueError) as error:
+        except (KeyError, IndexError, TypeError, ValueError, ReproError) as error:
             raise DatasetError(
                 f"malformed warm-view snapshot {path}: {error}"
             ) from None
-        engine._engine = engine._bind(objects, labels)
         return engine
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _sync(self) -> Tuple[int, int, int, int]:
+        """Catch the views and the restricted memo up with the model.
+
+        Runs before every edit and every read of the views or the memo,
+        whoever edited the model.  By Equation 6 a target reads an
+        edited pair only through the value it does not hold, and only
+        if some object holds it: each pair logged since the last sync
+        refreshes those targets, re-solving the components whose keys
+        hold that value, and drops the memoised answers whose read keys
+        do.  A gap the log does not cover rebuilds every view and clears
+        the memo.  Nothing is committed unless the whole repair succeeds.
+        Returns ``(targets refreshed, components solved, components
+        reused, memoised answers dropped)``.
+        """
+        version = self._preferences.version
+        if version == self._version:
+            return 0, 0, 0, 0
+        self._cache.counters()  # the cache catches up within this sync
+        edits = self._preferences._edits_since(self._version)
+        components: List[Component] = []
+        if edits is None:
+            staged, solved, _ = self._plan_views(
+                self._engine, range(len(self._objects)), components
+            )
+            self._views = self._solve_views(self._engine, staged, components)
+            restricted = self._purge_restricted(lambda entry: True)
+            self._version = version
+            return len(self._views), solved, 0, restricted
+        # Per dimension: a value -> the keys its holders read edited pairs by.
+        reads: Dict[int, Dict[Value, set]] = {}
+        for dimension, a, b in edits:
+            held = reads.setdefault(dimension, {})
+            held.setdefault(a, set()).add((dimension, b))
+            held.setdefault(b, set()).add((dimension, a))
+        present = set()  # the edited pairs' values some object holds
+        touched: Dict[int, set] = {}
+        for index, target in enumerate(self._objects):
+            keys = None
+            for dimension, held in reads.items():
+                own = target[dimension]
+                found = held.get(own)
+                if found:
+                    present.add((dimension, own))
+                    keys = found if keys is None else keys | found
+            if keys is not None:
+                touched[index] = keys
+        # A pair is read only through a value some object holds.
+        refresh = [k for k, keys in touched.items() if not keys.isdisjoint(present)]
+        for step in range(len(refresh)):
+            self._failpoint(step)
+        staged, recomputed, reused = self._plan_views(
+            self._engine, refresh, components,
+            [self._views[k] for k in refresh], [touched[k] for k in refresh],
+        )
+        views = self._solve_views(self._engine, staged, components)
+        # Commit.
+        for index, view in zip(refresh, views):
+            self._views[index] = view
+
+        def stale(entry: _RestrictedEntry) -> bool:
+            for dimension, held in reads.items():
+                found = held.get(entry.target[dimension])
+                if found and not found.isdisjoint(entry.read_keys):
+                    return True
+            return False
+
+        restricted = self._purge_restricted(stale)
+        self._version = version
+        return len(refresh), recomputed, reused, restricted
+
     def _plan_views(
         self,
         engine: SkylineProbabilityEngine,
         indices: Sequence[int],
         components: List[Component],
         reuse: Sequence[TargetView] | None = None,
-        touched_keys: FrozenSet[_Key] = frozenset(),
+        touched: Sequence[AbstractSet[_Key]] | None = None,
         tiled: bool = True,
     ) -> Tuple[List[_Staged], int, int]:
         """Stage the views of ``engine``'s objects at ``indices``.
@@ -880,7 +896,7 @@ class DynamicSkylineEngine:
         time), which never reads or writes its memo.  A component is
         reused from ``reuse[k]``, target ``k``'s current view, when its
         membership is identical and its key set is disjoint from
-        ``touched_keys``; every other one is appended to ``components``
+        ``touched[k]``; every other one is appended to ``components``
         for the one exact call.  The first planning failure in target order is raised.
         Returns ``(staged views, components solved, components
         reused)``.
@@ -904,12 +920,13 @@ class DynamicSkylineEngine:
                     frozenset(factor.members): factor
                     for factor in reuse[k].factors
                 }
+            stale = () if touched is None else touched[k]
             entries: List[PartitionFactor | _Pending] = []
             plan = query.plan
             for part, step in zip(plan.prep.partitions, plan.steps):
                 members = tuple(query.competitors[position] for position in part)
                 known = previous.get(frozenset(members))
-                if known is not None and not (known.keys & touched_keys):
+                if known is not None and known.keys.isdisjoint(stale):
                     entries.append(known)
                     kept += 1
                     continue
@@ -1053,15 +1070,6 @@ class DynamicSkylineEngine:
             max_exact_objects=self._max_exact_objects,
         )
 
-    def _count_values(self, obj: ObjectValues, delta: int) -> None:
-        for dimension, value in enumerate(obj):
-            counts = self._value_counts[dimension]
-            updated = counts.get(value, 0) + delta
-            if updated:
-                counts[value] = updated
-            else:
-                counts.pop(value, None)
-
     def _position(self, target: int | Sequence[Value]) -> int:
         """The position of ``target``: an object's values, or an index by
         the engine's one index rule (anything else is a
@@ -1125,5 +1133,5 @@ def _record_edit(report: EditReport) -> None:
     if report.cache_evictions:
         registry.counter(
             "repro_dynamic_cache_evictions_total",
-            "DominanceCache entries surgically evicted by preference edits.",
+            "DominanceCache entries evicted by preference edits.",
         ).inc(report.cache_evictions)

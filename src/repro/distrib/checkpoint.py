@@ -5,7 +5,7 @@ killed coordinator resumes from the last shard that finished instead of
 recomputing the whole batch.  The format is deliberately boring:
 
 * line 1 is a **header** — format version, a fingerprint of the whole
-  computation (dataset, preference-model version, method, options, seed,
+  computation (dataset, preference-model content, method, options, seed,
   shard plan), and human-oriented metadata;
 * every further line is a **shard record** — shard id, dispatch number,
   and the pickled :class:`~repro.distrib.protocol.ShardPayload` wrapped
@@ -41,8 +41,8 @@ from repro.errors import (
 
 __all__ = ["CHECKPOINT_VERSION", "CheckpointStore", "run_fingerprint"]
 
-#: Bump on any incompatible change to the record layout.
-CHECKPOINT_VERSION = 1
+#: Bump on any incompatible change to the record layout or fingerprint.
+CHECKPOINT_VERSION = 2
 
 
 def run_fingerprint(
@@ -57,15 +57,15 @@ def run_fingerprint(
     """Stable digest identifying one batch computation end to end.
 
     Everything that can change an answer (or move it between shards)
-    feeds the hash: the object values themselves, the preference model's
-    version counter, the query ``options``, the seed, the queried
-    index list and the shard plan.  Seeds are fingerprinted by ``repr``
-    — integers and ``None`` round-trip exactly; passing a live
+    feeds the hash: the object values themselves, a digest of the
+    preference model's content (:func:`_model_digest` — its version
+    counter only counts edits), the query ``options``, the seed, the
+    queried index list and the shard plan.  Seeds are fingerprinted by
+    ``repr`` — integers and ``None`` round-trip exactly; passing a live
     ``Generator`` object makes the fingerprint unique to this run, which
     correctly refuses a resume (the stream state could not be replayed
-    anyway).  An unrestricted run leaves the restriction out, so it keeps
-    the fingerprint it had before runs could be restricted and its older
-    checkpoints still resume.
+    anyway).  An unrestricted run leaves the restriction out of the
+    hash.
     """
     query_options = options.as_kwargs()
     method = query_options.pop("method")
@@ -74,7 +74,7 @@ def run_fingerprint(
     objects = tuple(tuple(values) for values in getattr(dataset, "objects", ()))
     payload = {
         "objects": repr(objects),
-        "preferences_version": repr(getattr(preferences, "version", None)),
+        "preferences": _model_digest(preferences),
         "method": method,
         "indices": list(index_list),
         "seed": repr(seed),
@@ -83,6 +83,27 @@ def run_fingerprint(
     }
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
+
+
+def _model_digest(preferences: object) -> str:
+    """SHA-256 of the model's ``to_dict()`` form, made canonical.
+
+    That form carries the dimensionality, the default and a procedural
+    model's generator parameters, but lists each dimension's pairs in
+    the order they were set and as they were oriented then; here every
+    pair takes the orientation that sorts first by ``repr`` and the
+    pairs are sorted, so equal models digest equally.
+    """
+    payload = preferences.to_dict()
+    payload["preferences"] = [
+        sorted(
+            (min((a, b, forward, backward), (b, a, backward, forward), key=repr)
+             for a, b, forward, backward in pairs),
+            key=repr,
+        )
+        for pairs in payload["preferences"]
+    ]
+    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
 
 class CheckpointStore:

@@ -1,9 +1,10 @@
 """Indexed eviction and factor-miss accounting of :class:`DominanceCache`.
 
-``evict_preference`` finds its stale entries through an index built on
-the first eviction.  These tests hold it to the full scan it replaced,
-over random sequences of lookups, evictions, edits and clears, and pin
-the cache traffic of all-objects batches.
+A cache catching up with the model's edit log finds the entries that
+read an edited pair through an index built on its first eviction.  These
+tests hold it to a full scan, over random sequences of lookups, edits
+(one or several pairs at a time, set or deleted) and clears, and pin the
+cache traffic of all-objects batches.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SkylineProbabilityEngine, batch_skyline_probabilities
-from repro.core.dominance import DominanceCache
-from repro.core.preferences import PreferenceModel
+from repro.core.dominance import DominanceCache, dominance_factors
+from repro.core.preferences import _EDIT_LOG_LENGTH, PreferenceModel
 from repro.data.blockzipf import block_zipf_dataset
 from repro.data.examples import running_example
 from repro.data.procedural import HashedPreferenceModel
@@ -24,24 +25,20 @@ class FullScanCache(DominanceCache):
 
     __slots__ = ()
 
-    def evict_preference(self, dimension, a, b):
-        with self._lock:
-            removed = 0
-            for key in ((dimension, a, b), (dimension, b, a)):
-                if self._prefers.pop(key, None) is not None:
-                    removed += 1
-            stale = [
-                pair_key
-                for pair_key in self._factors
-                if dimension < len(pair_key[0])
-                and {pair_key[0][dimension], pair_key[1][dimension]} == {a, b}
-            ]
-            for pair_key in stale:
-                del self._factors[pair_key]
-            removed += len(stale)
-            self._version = self._preferences.version
-            self._evictions += removed
-            return removed
+    def _evict(self, dimension, a, b):
+        removed = 0
+        for key in ((dimension, a, b), (dimension, b, a)):
+            if self._prefers.pop(key, None) is not None:
+                removed += 1
+        stale = [
+            pair_key
+            for pair_key in self._factors
+            if dimension < len(pair_key[0])
+            and {pair_key[0][dimension], pair_key[1][dimension]} == {a, b}
+        ]
+        for pair_key in stale:
+            del self._factors[pair_key]
+        return removed + len(stale)
 
 
 D = 3
@@ -55,7 +52,7 @@ OBJECTS = [
 
 _object = st.integers(min_value=0, max_value=len(OBJECTS) - 1)
 _variable = st.tuples(
-    st.integers(min_value=-D, max_value=D - 1),
+    st.integers(min_value=0, max_value=D - 1),
     st.integers(min_value=0, max_value=2),
     st.integers(min_value=0, max_value=2),
 )
@@ -65,8 +62,11 @@ OPERATIONS = st.lists(
         st.tuples(st.just("lookup"), _object, _object),
         st.tuples(st.just("lookup"), _object, _object),
         st.tuples(st.just("prefers"), _variable),
-        st.tuples(st.just("evict"), _variable),
-        st.tuples(st.just("edit"), _variable, st.booleans()),
+        # Several edits before the next read: a gap of several pairs.
+        st.tuples(
+            st.just("edit"),
+            st.lists(st.tuples(_variable, st.booleans()), min_size=1, max_size=4),
+        ),
         st.tuples(st.just("clear")),
     ),
     max_size=60,
@@ -74,7 +74,12 @@ OPERATIONS = st.lists(
 
 
 def _state(cache):
-    return set(cache._factors), set(cache._prefers), cache.counters()
+    counters = cache.counters()  # catches up with the model first
+    return set(cache._factors), set(cache._prefers), counters
+
+
+def _edit(model, j, a, b):
+    model.set_preference(j, a, b, 0.2, 0.7)
 
 
 class TestIndexedEvictionEqualsFullScan:
@@ -94,34 +99,29 @@ class TestIndexedEvictionEqualsFullScan:
             elif kind == "prefers":
                 j, x, y = operation[1]
                 if x != y:
-                    a, b = VALUES[j % D][x], VALUES[j % D][y]
-                    assert indexed.prob_prefers(j % D, a, b) == (
-                        scanned.prob_prefers(j % D, a, b)
+                    a, b = VALUES[j][x], VALUES[j][y]
+                    assert indexed.prob_prefers(j, a, b) == (
+                        scanned.prob_prefers(j, a, b)
                     )
-            elif kind == "evict":
-                # Every (dimension, a, b), a == b and negative dimensions
-                # included: the two must agree even off the edit contract.
-                j, x, y = operation[1]
-                a, b = VALUES[j][x], VALUES[j][y]
-                assert indexed.evict_preference(j, a, b) == (
-                    scanned.evict_preference(j, a, b)
-                )
             elif kind == "edit":
-                # An edit of one pair; evicted at once, as the dynamic
-                # engine does, or left for the version check to catch.
-                (j, x, y), evict = operation[1], operation[2]
-                if x == y:
-                    continue
-                a, b = VALUES[j % D][x], VALUES[j % D][y]
-                model.set_preference(j % D, a, b, 0.3, 0.6)
-                if evict:
-                    assert indexed.evict_preference(j % D, a, b) == (
-                        scanned.evict_preference(j % D, a, b)
-                    )
+                # Set a pair, or delete it (a no-op when it is unset).
+                for (j, x, y), delete in operation[1]:
+                    if x == y:
+                        continue
+                    a, b = VALUES[j][x], VALUES[j][y]
+                    if delete:
+                        model.delete_preference(j, a, b)
+                    else:
+                        model.set_preference(j, a, b, 0.3, 0.6)
             else:
                 indexed.clear()
                 scanned.clear()
             assert _state(indexed) == _state(scanned)
+        # Whatever the script, no memoised entry is stale.
+        for (q, o), factors in indexed._factors.items():
+            assert factors == tuple(dominance_factors(model, q, o))
+        for (j, a, b), probability in indexed._prefers.items():
+            assert probability == model.prob_prefers(j, a, b)
 
     def test_index_follows_misses_after_the_first_eviction(self):
         model = PreferenceModel(D, default=0.4)
@@ -130,13 +130,17 @@ class TestIndexedEvictionEqualsFullScan:
         first, later = ("v0_0", "v1_0", "v2_2"), ("v0_1", "v1_0", "v2_2")
         cache.dominance_factors(first, target)
         # The first eviction builds the index; `later` is memoised after.
-        assert cache.evict_preference(2, "v2_0", "v2_1") == 0
+        _edit(model, 2, "v2_0", "v2_1")
+        assert cache.counters()["evictions"] == 0
         cache.dominance_factors(later, target)
         # One factor entry and one preference entry read (0, v0_1, v0_2).
-        assert cache.evict_preference(0, "v0_1", "v0_2") == 2
+        _edit(model, 0, "v0_1", "v0_2")
+        assert cache.counters()["evictions"] == 2
         assert set(cache._factors) == {(first, target)}
 
     def test_version_change_and_clear_drop_the_index(self):
+        """A gap the edit log covers keeps the index; a version change the
+        log does not reach back over, and ``clear()``, drop it."""
         model = PreferenceModel(D, default=0.4)
         indexed, scanned = DominanceCache(model), FullScanCache(model)
         target = ("v0_2", "v1_2", "v2_2")
@@ -144,26 +148,37 @@ class TestIndexedEvictionEqualsFullScan:
         for reset in ("edit", "clear"):
             for cache in (indexed, scanned):
                 cache.dominance_factors(first, target)
-                cache.evict_preference(2, "v2_0", "v2_1")
+            _edit(model, 2, "v2_0", "v2_1")
+            assert _state(indexed) == _state(scanned)
+            # Built by the first eviction and kept across a covered gap.
+            assert indexed._index is not None
             if reset == "edit":
-                # Not evicted: the next lookup finds a new version and
-                # empties the table.
-                model.set_preference(2, "v2_0", "v2_1", 0.2, 0.7)
+                # More edits than the log holds: the next access finds a
+                # version it cannot catch up to and empties the table.
+                for _ in range(_EDIT_LOG_LENGTH + 1):
+                    _edit(model, 2, "v2_0", "v2_1")
             else:
                 indexed.clear()
                 scanned.clear()
+            evictions = indexed.evictions
+            assert _state(indexed) == _state(scanned) == (set(), set(), {
+                "hits": indexed.hits,
+                "misses": indexed.misses,
+                "entries": 0,
+                "evictions": evictions,
+            })
+            assert indexed._index is None
             for cache in (indexed, scanned):
                 cache.dominance_factors(later, target)
             # `first` left the table with the reset; only `later` reads
             # (1, v1_0, v1_2).
-            assert indexed.evict_preference(1, "v1_0", "v1_2") == (
-                scanned.evict_preference(1, "v1_0", "v1_2")
-            )
+            _edit(model, 1, "v1_0", "v1_2")
             assert _state(indexed) == _state(scanned)
+            assert indexed.evictions == evictions + 2
 
 
 class TestThreadedEviction:
-    """Misses that file entries in the index race evictions that read it."""
+    """Misses that file entries in the index race the evictions of edits."""
 
     def test_index_stays_consistent_under_threads(self):
         import sys
@@ -178,7 +193,9 @@ class TestThreadedEviction:
             for x in range(3)
             for y in range(x + 1, 3)
         ]
-        removed = []
+        # Warm: whenever the edits land, they find entries to evict.
+        for pair in pairs:
+            cache.dominance_factors(*pair)
         failures: list = []
         barrier = threading.Barrier(5)
 
@@ -191,17 +208,18 @@ class TestThreadedEviction:
             except Exception as error:  # pragma: no cover - failure path
                 failures.append(error)
 
-        def evictor() -> None:
+        def editor() -> None:
+            # Each edit is caught up by whichever reader looks up next.
             barrier.wait()
             try:
-                for _ in range(20):
+                for round_ in range(20):
                     for variable in variables:
-                        removed.append(cache.evict_preference(*variable))
+                        model.set_preference(*variable, 0.1 + round_ / 40)
             except Exception as error:  # pragma: no cover - failure path
                 failures.append(error)
 
         threads = [threading.Thread(target=reader) for _ in range(4)]
-        threads.append(threading.Thread(target=evictor))
+        threads.append(threading.Thread(target=editor))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -213,15 +231,17 @@ class TestThreadedEviction:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        assert cache.evictions == sum(removed)
-        # Every memoised factor entry is filed under its target, and the
-        # index names no entry the table has lost.
+        assert cache.counters()["evictions"] > 0
+        # Every memoised factor entry is filed under its target, the index
+        # names no entry the table has lost, and no entry is stale.
         filed = {
             (q, target)
             for target, competitors in cache._index.items()
             for q in competitors
         }
         assert filed == set(cache._factors)
+        for (q, o), factors in cache._factors.items():
+            assert factors == tuple(dominance_factors(model, q, o))
 
 
 class TestAllObjectsCacheTraffic:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.dynamic import DynamicSkylineEngine
 from repro.core.engine import SkylineProbabilityEngine
 from repro.data.blockzipf import block_zipf_dataset
 from repro.data.procedural import HashedPreferenceModel
@@ -34,6 +35,7 @@ from repro.errors import (
     CheckpointMismatchError,
     CoordinatorAbortedError,
 )
+from repro.robustness import FaultInjector, InjectedFault
 
 pytestmark = pytest.mark.chaos
 
@@ -237,8 +239,10 @@ class TestMismatch:
 
 
 class TestFingerprintPins:
-    """An unrestricted run keeps the fingerprint it had before runs could
-    be restricted, so its older checkpoints still resume; a restriction
+    """The fingerprint hashes a digest of the preference model's content,
+    so a checkpoint never resumes under another model.  The pins record
+    the fingerprints of checkpoint format 2; a checkpoint written before
+    it fails on its format version instead of resuming.  A restriction
     changes the fingerprint."""
 
     @staticmethod
@@ -253,7 +257,7 @@ class TestFingerprintPins:
 
         engine = SkylineProbabilityEngine(*running_example())
         assert self._fingerprint(engine, tmp_path / "run.ckpt", method="det+") == (
-            "191c9a8fba54765a07c0148189740623c1cb7d37ccc6af0269e9d500b4aa1320"
+            "6baa35b97945f00fb60f99f969c356fd17302dbe2c48c8ffb73278220ad8c4bf"
         )
 
     def test_block_zipf_fingerprint_is_pinned(self, tmp_path):
@@ -263,8 +267,56 @@ class TestFingerprintPins:
             method="sam+", seed=7, epsilon=0.05, deadline=30.0,
         )
         assert fingerprint == (
-            "780f1a04c49929750465c97cd67f64642df5e13ca6faca0c528663d76dc09081"
+            "68148c1e5b25b7bdc8faec3747f22b9fecd02d471030668b4cf73d23350ad7e0"
         )
+
+    def test_a_checkpoint_does_not_resume_under_another_model(self, tmp_path):
+        # Both models are at version 0: only their content tells them apart.
+        checkpoint = tmp_path / "run.ckpt"
+        dataset = block_zipf_dataset(24, 3, seed=21)
+
+        def run(preference_seed, **options):
+            engine = SkylineProbabilityEngine(
+                dataset, HashedPreferenceModel(3, seed=preference_seed)
+            )
+            config = DistribConfig(workers=1, checkpoint=str(checkpoint), **FAST)
+            return ShardCoordinator(engine, config).run(method="det+", **options)
+
+        with pytest.raises(CoordinatorAbortedError):
+            run(22, abort_after_shards=3)
+        with pytest.raises(CheckpointMismatchError, match="fingerprint"):
+            run(23)
+
+    def test_a_rolled_back_edit_still_resumes(self, tmp_path):
+        # The rollback restores a pair set as (b, a) through (a, b): the
+        # model equals the one the checkpoint was written under, though
+        # its to_dict() form does not, and the run resumes.
+        checkpoint = tmp_path / "run.ckpt"
+        dataset = block_zipf_dataset(24, 3, seed=21)
+        preferences = HashedPreferenceModel(3, seed=22)
+        a, b = sorted(dataset.values_on(0), key=repr)[:2]
+        preferences.set_preference(0, b, a, 0.7, 0.2)
+        before = preferences.copy()
+        dynamic = DynamicSkylineEngine(
+            dataset, preferences, fault_injector=FaultInjector(poison=frozenset({0}))
+        )
+        with pytest.raises(InjectedFault):
+            dynamic.update_preference(0, a, b, 0.1, 0.8)
+        assert preferences == before
+        assert preferences.to_dict() != before.to_dict()
+
+        def run(model, **options):
+            engine = SkylineProbabilityEngine(dataset, model)
+            config = DistribConfig(workers=1, checkpoint=str(checkpoint), **FAST)
+            return ShardCoordinator(engine, config).run(method="det+", **options)
+
+        with pytest.raises(CoordinatorAbortedError):
+            run(before, abort_after_shards=3)
+        resumed = run(preferences)
+        assert resumed.supervision.resumed == 3
+        assert list(resumed.batch.probabilities) == SkylineProbabilityEngine(
+            dataset, before
+        ).skyline_probabilities(method="det+")
 
     def test_a_restriction_changes_the_fingerprint(self, tmp_path):
         full = self._fingerprint(_engine(), tmp_path / "full.ckpt", method="det+")

@@ -5,15 +5,20 @@ matter which edit script was applied, the maintained view must equal —
 float for float — what a fresh engine rebuilt from the final state
 computes.  A hypothesis ``RuleBasedStateMachine`` drives random edit
 scripts against a shadow copy of the state and asserts that invariant
-after every step; a script-based differential test covers the same space
-with longer scripts, and a chaos section proves a mid-edit crash never
-leaves a torn view.
+after every step; the script includes edits made directly on the
+engine's preference model, which every read and edit catches up with
+first.  A script-based differential test covers the same space with
+longer scripts, and a chaos section proves a mid-edit crash never leaves
+a torn view.
 """
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -23,7 +28,16 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro import Dataset, DynamicSkylineEngine, PreferenceModel
+from repro import (
+    Dataset,
+    DynamicSkylineEngine,
+    PreferenceModel,
+    SkylineProbabilityEngine,
+    restricted_skyline_probabilities,
+)
+from repro.core.preferences import _EDIT_LOG_LENGTH
+from repro.data.blockzipf import block_zipf_dataset
+from repro.data.prefgen import random_preferences
 from repro.errors import DatasetError, DuplicateObjectError
 from repro.robustness import FaultInjector, InjectedFault
 from strategies import apply_edit, edit_script
@@ -38,6 +52,33 @@ _PAIRS = [(f, b) for f in _GRID for b in _GRID if f + b <= 1.0]
 _objects = st.tuples(
     *[st.sampled_from(_UNIVERSE[j]) for j in range(_D)]
 )
+#: One edit made directly on the model: ``(dimension, x, offset, probs)``
+#: sets the pair of values ``x`` and ``x + offset``, or deletes it when
+#: ``probs`` is None.
+_direct_edits = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=_D - 1),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=2),
+        st.one_of(st.none(), st.sampled_from(_PAIRS)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+#: Restrictions of the grid rule: pools and subspaces, alone and together.
+_RESTRICTIONS = [(None, [0]), (None, [1]), ([0, 1], None), ([1, 2], [0]), (None, None)]
+
+
+class _OneShot:
+    """A failpoint that fails the next per-target refresh once armed."""
+
+    def __init__(self):
+        self.armed = False
+
+    def before_task(self, step, attempts):
+        if self.armed:
+            self.armed = False
+            raise InjectedFault(f"one-shot failpoint at refresh {step}")
 
 
 def _rebuild(engine: DynamicSkylineEngine) -> DynamicSkylineEngine:
@@ -65,7 +106,10 @@ class DynamicEditMachine(RuleBasedStateMachine):
                         j, _UNIVERSE[j][x], _UNIVERSE[j][y], forward, backward
                     )
         self.objects = list(initial)
-        self.engine = DynamicSkylineEngine(Dataset(initial), preferences)
+        self.failpoint = _OneShot()
+        self.engine = DynamicSkylineEngine(
+            Dataset(initial), preferences, fault_injector=self.failpoint
+        )
 
     # -- edits ---------------------------------------------------------
     @rule(candidate=_objects)
@@ -110,7 +154,121 @@ class DynamicEditMachine(RuleBasedStateMachine):
         # than the engine maintains.
         assert report.partitions_recomputed <= self.engine.total_partitions
 
+    @rule(
+        dimension=st.integers(min_value=0, max_value=_D - 1),
+        x=st.integers(min_value=0, max_value=2),
+        offset=st.integers(min_value=1, max_value=2),
+        probs=st.sampled_from(_PAIRS),
+    )
+    def update_preference_rolled_back(self, dimension, x, offset, probs):
+        # A failpoint in the first refresh rolls the edit back: the pair,
+        # the views and the restricted memo are as they were.
+        a, b = _UNIVERSE[dimension][x], _UNIVERSE[dimension][(x + offset) % 3]
+        model = self.engine.preferences
+        before = model.copy()
+        views = [self.engine.view(i) for i in range(len(self.objects))]
+        memo = self.engine.restricted_cache_info()["entries"]
+        self.failpoint.armed = True
+        try:
+            self.engine.update_preference(dimension, a, b, *probs)
+        except InjectedFault:
+            assert model == before
+            assert [self.engine.view(i) for i in range(len(self.objects))] == views
+            assert self.engine.restricted_cache_info()["entries"] == memo
+        finally:
+            # When no target reads the pair, the edit lands unrefreshed.
+            self.failpoint.armed = False
+
+    @rule(
+        edits=_direct_edits,
+        then=st.sampled_from(
+            ["nothing", "view", "skyline", "top_k", "grid", "update", "insert",
+             "remove", "save_load"]
+        ),
+        raw=st.integers(min_value=0, max_value=10**6),
+    )
+    def edit_model_directly(self, edits, then, raw):
+        # Code that does not own the engine edits its model; the next
+        # read or edit, whichever it is, must catch up first.
+        model = self.engine.preferences
+        for dimension, x, offset, probs in edits:
+            a = _UNIVERSE[dimension][x]
+            b = _UNIVERSE[dimension][(x + offset) % 3]
+            if probs is None:
+                model.delete_preference(dimension, a, b)
+            else:
+                model.set_preference(dimension, a, b, *probs)
+        if then == "view":
+            self.read_view(raw)
+        elif then == "skyline":
+            self.read_probabilistic_skyline(raw)
+        elif then == "top_k":
+            self.read_top_k(raw)
+        elif then == "grid":
+            self.query_grid_matches_fresh_rebuild(raw)
+        elif then == "update":
+            self.update_preference(raw % _D, raw % 3, 1 + raw % 2, _PAIRS[raw % len(_PAIRS)])
+        elif then == "insert":
+            self.insert(tuple(_UNIVERSE[j][raw // 3**j % 3] for j in range(_D)))
+        elif then == "remove" and len(self.objects) > 1:
+            self.remove(raw)
+        elif then == "save_load":
+            self.save_and_load()
+
     # -- queries -------------------------------------------------------
+    @rule(raw=st.integers(min_value=0, max_value=10**6))
+    def read_view(self, raw):
+        index = raw % len(self.objects)
+        assert self.engine.view(index) == _rebuild(self.engine).view(index)
+
+    @rule(raw=st.integers(min_value=0, max_value=10**6))
+    def read_probabilistic_skyline(self, raw):
+        tau = [0.05, 0.25, 0.5, 1.0][raw % 4]
+        assert self.engine.probabilistic_skyline(tau) == (
+            _rebuild(self.engine).probabilistic_skyline(tau)
+        )
+
+    @rule(raw=st.integers(min_value=0, max_value=10**6))
+    def read_top_k(self, raw):
+        k = 1 + raw % (len(self.objects) + 1)
+        assert self.engine.top_k(k) == _rebuild(self.engine).top_k(k)
+
+    @rule(raw=st.integers(min_value=0, max_value=10**6))
+    def query_grid_matches_fresh_rebuild(self, raw):
+        # The shared pass serves cells from the restricted memo; every
+        # cell must equal a fresh engine's, report for report.
+        targets = sorted({raw % len(self.objects), raw // 7 % len(self.objects)})
+        restrictions = [
+            (
+                None if pool is None else [i for i in pool if i < len(self.objects)],
+                dims,
+            )
+            for pool, dims in _RESTRICTIONS[raw % 3 : raw % 3 + 3]
+        ]
+        warm = restricted_skyline_probabilities(
+            self.engine, targets, restrictions=restrictions
+        )
+        fresh = restricted_skyline_probabilities(
+            _rebuild(self.engine), targets, restrictions=restrictions
+        )
+        # The planner counters differ by design: memo-served cells plan nothing.
+        assert repr(warm.reports) == repr(fresh.reports)
+
+    @rule()
+    def save_and_load(self):
+        # The snapshot holds the current views; the restored engine
+        # carries on in place of the saved one.
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "view.json"
+            self.engine.save_view(path)
+            restored = DynamicSkylineEngine.load_view(
+                path, fault_injector=self.failpoint
+            )
+        assert restored.preferences == self.engine.preferences
+        for index in range(len(self.objects)):
+            assert restored.view(index) == self.engine.view(index)
+        self.engine = restored
+
     @rule(raw=st.integers(min_value=0, max_value=10**6))
     def query_duplicate_target(self, raw):
         # Querying the *values* of a dataset member takes the
@@ -163,6 +321,7 @@ class DynamicEditMachine(RuleBasedStateMachine):
             target, competitors=competitors, dims=dims, method="det+"
         )
         assert again.probability == warm.probability
+        assert repr(again) == repr(fresh)
 
     # -- the differential invariant ------------------------------------
     @invariant()
@@ -185,6 +344,10 @@ class DynamicEditMachine(RuleBasedStateMachine):
 
 TestDynamicEditMachine = DynamicEditMachine.TestCase
 TestDynamicEditMachine.settings = settings(
+    # The explain phase traces every shrinking run and keeps the traces;
+    # the read rules fail at distinct lines, each failure is shrunk, and
+    # a failing run then grew past a gigabyte over minutes.
+    phases=[phase for phase in Phase if phase is not Phase.explain],
     max_examples=80,
     stateful_step_count=8,
     deadline=None,
@@ -322,6 +485,94 @@ def test_remove_errors():
     engine.remove_object(("b",))
     with pytest.raises(DatasetError):
         engine.remove_object(0)  # cannot empty the dataset
+
+
+# ---------------------------------------------------------------------------
+# Edits made directly on the engine's model.
+# ---------------------------------------------------------------------------
+def _block_zipf_engine():
+    dataset = block_zipf_dataset(20, 3, seed=4)
+    preferences = random_preferences(dataset, seed=5)
+    return dataset, preferences, DynamicSkylineEngine(dataset, preferences)
+
+
+def _prefer_every_value_to_target_zero(dataset, preferences):
+    """Ten direct edits: every other dimension-0 value beats object 0's."""
+    own = dataset[0][0]
+    for value in sorted({obj[0] for obj in dataset} - {own}, key=repr):
+        preferences.set_preference(0, value, own, 0.99, 0.0)
+
+
+def test_views_catch_up_with_direct_model_edits():
+    dataset, preferences, engine = _block_zipf_engine()
+    _prefer_every_value_to_target_zero(dataset, preferences)
+    fresh = SkylineProbabilityEngine(dataset, preferences)
+    expected = fresh.skyline_probability(0, method="det+").probability
+    assert expected == 5.099201911042299e-06
+    assert engine.view(0).probability == expected
+    assert engine.skyline_probabilities()[0] == expected
+    assert engine.skyline_probability(0, method="det+").probability == expected
+    assert 0 not in engine.probabilistic_skyline(0.01)
+
+
+def test_cache_catches_up_with_direct_edits_before_an_engine_edit():
+    dataset, preferences, engine = _block_zipf_engine()
+    warm = engine.restricted_skyline_probability(0, dims=[0, 1])
+    assert warm.probability == 0.003650406174166832
+    _prefer_every_value_to_target_zero(dataset, preferences)
+    first, second = sorted({obj[2] for obj in dataset}, key=repr)[:2]
+    engine.update_preference(2, first, second, 0.3, 0.6)
+    fresh = DynamicSkylineEngine(dataset, preferences.copy())
+    expected = fresh.restricted_skyline_probability(0, dims=[0, 1])
+    assert expected.probability == 8.074621719128584e-11
+    answer = engine.restricted_skyline_probability(0, dims=[0, 1])
+    assert repr(answer) == repr(expected)
+
+
+def test_more_direct_edits_than_the_log_holds_rebuild_the_views():
+    dataset, preferences, engine = _block_zipf_engine()
+    engine.restricted_skyline_probability(0, dims=[0, 1])
+    since = preferences.version
+    values = sorted({obj[1] for obj in dataset}, key=repr)
+    for step in range(_EDIT_LOG_LENGTH + 1):
+        a, b = values[step % 3], values[3 + step % 4]
+        preferences.set_preference(1, a, b, 0.1 + step % 8 / 10, 0.0)
+    assert preferences._edits_since(since) is None
+    fresh = DynamicSkylineEngine(dataset, preferences.copy())
+    assert engine.skyline_probabilities() == fresh.skyline_probabilities()
+    assert engine.restricted_cache_info()["entries"] == 0
+    assert repr(engine.restricted_skyline_probability(0, dims=[0, 1])) == repr(
+        fresh.restricted_skyline_probability(0, dims=[0, 1])
+    )
+
+
+@pytest.mark.parametrize("read_each", [True, False])
+def test_direct_edits_are_repaired_like_engine_edits(read_each):
+    # The same pairs set directly, then read after each edit or once
+    # after all three (a gap the log covers), or set through the engine
+    # leave identical views and memo entries.
+    objects = [("a", "x"), ("b", "y"), ("a", "y"), ("b", "x"), ("c", "y")]
+    engines = []
+    for direct in (False, True):
+        preferences = PreferenceModel(2, default=0.5)
+        engine = DynamicSkylineEngine(Dataset(objects), preferences)
+        for target in range(len(objects)):
+            engine.restricted_skyline_probability(target, dims=[0])
+            # Three of these read no edited pair and must stay memoised.
+            pool = [(target + 2) % len(objects)]
+            engine.restricted_skyline_probability(target, competitors=pool, dims=[0])
+        for dimension, a, b in [(0, "a", "b"), (1, "x", "y"), (0, "b", "c")]:
+            if direct:
+                preferences.set_preference(dimension, a, b, 0.8, 0.1)
+                if read_each:
+                    engine.view(0)
+            else:
+                engine.update_preference(dimension, a, b, 0.8, 0.1)
+        engines.append(engine)
+    through, direct = engines
+    assert [through.view(i) for i in range(5)] == [direct.view(i) for i in range(5)]
+    assert len(through._restricted_memo) == 3
+    assert set(through._restricted_memo) == set(direct._restricted_memo)
 
 
 # ---------------------------------------------------------------------------

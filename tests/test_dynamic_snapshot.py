@@ -123,6 +123,10 @@ class TestRoundTrip:
         assert restored.edits == engine.edits
 
 
+def _set_result(payload, field, value):
+    payload["views"][0]["factors"][0]["result"][field] = value
+
+
 class TestMalformedSnapshots:
     def test_unknown_format_is_rejected(self, engine, snapshot_path):
         payload = engine.save_view(snapshot_path)
@@ -139,6 +143,12 @@ class TestMalformedSnapshots:
             lambda payload: payload["views"].pop(),
             lambda payload: payload["views"][0]["factors"][0].pop("result"),
             lambda payload: payload.__setitem__("objects", []),
+            # Values no engine could have saved.
+            lambda payload: _set_result(payload, "probability", 7.0),
+            lambda payload: _set_result(payload, "probability", float("nan")),
+            lambda payload: _set_result(payload, "terms_evaluated", -1),
+            lambda payload: payload.__setitem__("max_exact_objects", -1),
+            lambda payload: payload.__setitem__("dimensionality", 3),
         ],
     )
     def test_structurally_broken_payloads_are_rejected(

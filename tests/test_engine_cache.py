@@ -176,7 +176,8 @@ class TestOlderVersionsDropped:
 
 
 class TestSurgicalEviction:
-    """The dominance cache's partition-scoped alternative to clear()."""
+    """The dominance cache catches up with an edit of one pair by dropping
+    only the entries that read it, instead of clearing itself."""
 
     @pytest.fixture
     def warm(self):
@@ -194,9 +195,10 @@ class TestSurgicalEviction:
         preferences, cache = warm
         entries_before = cache.entries
         preferences.set_preference(0, "a", "b", 0.9)
-        removed = cache.evict_preference(0, "a", "b")
-        # The (0, a, b) prefers entry, the ("a","x")/("b","y") factor
-        # tuple, and the nested (0, "a", "b") lookup it stored.
+        # The snapshot catches up first: the (0, a, b) prefers entry, the
+        # ("a","x")/("b","y") factor tuple, and the nested (0, "a", "b")
+        # lookup it stored are gone.
+        removed = cache.counters()["evictions"]
         assert removed > 0
         assert cache.entries == entries_before - removed
         # The untouched dimension-1 pair must still be served warm.
@@ -207,28 +209,28 @@ class TestSurgicalEviction:
     def test_post_eviction_lookups_recompute_fresh_values(self, warm):
         preferences, cache = warm
         preferences.set_preference(0, "a", "b", 0.9)
-        cache.evict_preference(0, "a", "b")
         assert cache.prob_prefers(0, "a", "b") == 0.9
         cached = cache.dominance_factors(("a", "x"), ("b", "y"))
         fresh = dominance_factors(preferences, ("a", "x"), ("b", "y"))
         assert cached == tuple(fresh)
+        assert cache.evictions > 0
 
     def test_counters_survive_eviction(self, warm):
         preferences, cache = warm
-        hits, misses = cache.hits, cache.misses
+        hits, misses, entries = cache.hits, cache.misses, cache.entries
         preferences.set_preference(0, "a", "b", 0.9)
-        removed = cache.evict_preference(0, "a", "b")
-        assert cache.hits == hits and cache.misses == misses
-        assert cache.evictions == removed
-        assert cache.counters()["evictions"] == removed
+        snapshot = cache.counters()
+        removed = entries - snapshot["entries"]
+        assert removed > 0
+        assert (snapshot["hits"], snapshot["misses"]) == (hits, misses)
+        assert snapshot["evictions"] == cache.evictions == removed
 
     def test_eviction_prevents_whole_cache_wipe(self, warm):
         preferences, cache = warm
         preferences.set_preference(0, "a", "b", 0.9)
-        cache.evict_preference(0, "a", "b")
-        # _validate() must NOT fire on the next lookup: the unrelated
-        # factor entry is still present (a version-triggered wipe would
-        # have emptied both tables).
+        # The next lookup evicts only the logged pair: the unrelated
+        # factor entry is still present (a wipe would have emptied both
+        # tables).
         hits_before = cache.hits
         cache.dominance_factors(("a", "x"), ("a", "y"))
         assert cache.hits == hits_before + 1
