@@ -30,7 +30,6 @@ from repro.core.dynamic import (
     TargetView,
 )
 from repro.core.batch import (
-    EXECUTORS,
     ON_ERROR_POLICIES,
     BatchFailure,
     BatchResult,
@@ -161,7 +160,6 @@ __all__ = [
     "BatchFailure",
     "BatchResult",
     "batch_skyline_probabilities",
-    "EXECUTORS",
     "ON_ERROR_POLICIES",
     "validate_accuracy",
     "validate_robustness",

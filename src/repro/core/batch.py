@@ -12,13 +12,11 @@ restricted-skyline probabilities across objects:
   per batch instead of once per (query, competitor) pair — and the cache
   is keyed on :attr:`PreferenceModel.version`, so in-place what-if edits
   can never serve stale answers;
-* ``workers`` fans object chunks out over a :mod:`concurrent.futures`
-  process pool when the host offers real parallelism; when it does not
-  (single-core affinity) or when the preference model cannot be pickled
-  (procedural models built from closures), the chunks run sequentially
-  in-process — the work is GIL-bound pure Python, so a thread pool only
-  adds contention (a forced ``executor="thread"`` still fans out, for
-  the chaos suites);
+* ``workers > 1`` hands the batch to the supervised shard coordinator
+  (:class:`repro.distrib.ShardCoordinator`, checkpointing off) when the
+  host offers real parallelism; with one worker, or when the process may
+  run on only one core, the chunks run sequentially in-process — the
+  work is GIL-bound pure Python, so threads would only add contention;
 * sampling methods draw one child stream per *object*, spawned from the
   batch ``seed`` via :class:`numpy.random.SeedSequence` (through
   :func:`repro.util.rng.spawn_rngs`).  Object streams are therefore
@@ -27,14 +25,11 @@ restricted-skyline probabilities across objects:
   and ``chunk_size`` choice.
 
 On top of the planner sits a **fault-tolerance layer** (heavy production
-traffic *will* hit worker crashes, broken pools, and pathological
-objects):
+traffic *will* hit worker crashes and pathological objects):
 
-* a chunk whose worker fails — a crashed process, a
-  ``BrokenProcessPool``, a pickling error, an injected chaos fault — is
-  re-dispatched with capped exponential backoff (``max_retries``,
-  ``backoff``), falling back from the process pool to the in-process
-  path, which cannot lose workers;
+* a task that fails is retried in its chunk with capped exponential
+  backoff (``max_retries``, ``backoff``); under the coordinator, a shard
+  whose worker dies, stalls or fails is also re-dispatched as a whole;
 * errors that persist per object are **salvaged**: the object's entry
   moves to :attr:`BatchResult.failures` as a structured
   :class:`BatchFailure` (index, exception type, message, attempts) while
@@ -52,9 +47,10 @@ objects):
   retried and salvaged runs stay bit-identical to clean runs for every
   surviving object.
 
-Every chunk is answered by the engine's multi-target form: its objects
-are planned together by the tile pass when there are enough of them
-(one at a time otherwise, as
+Every chunk — in-process, or one shard in a coordinator worker — is
+answered by the same chunk runner (:func:`_run_chunk_inprocess`) through
+the engine's multi-target form: its objects are planned together by the
+tile pass when there are enough of them (one at a time otherwise, as
 :meth:`SkylineProbabilityEngine.skyline_probability` plans each, with
 the same result), one exact call solves the components of all of them
 (``"vec"`` components sharing a key structure together, each
@@ -67,11 +63,8 @@ matching spawned streams).
 from __future__ import annotations
 
 import os
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import repro.obs as obs
@@ -84,7 +77,6 @@ from repro.core.engine import (
 )
 from repro.core.objects import Dataset
 from repro.core.options import QueryOptions
-from repro.core.preferences import PreferenceModel
 from repro.errors import ReproError, RobustnessPolicyError
 from repro.obs import BatchStats
 from repro.util.rng import spawn_rngs
@@ -97,7 +89,6 @@ __all__ = [
     "batch_skyline_probabilities",
     "plan_shards",
     "spawn_batch_seeds",
-    "EXECUTORS",
     "ON_ERROR_POLICIES",
 ]
 
@@ -112,13 +103,7 @@ _EXACT_METHODS = frozenset({"det", "det+", "naive"})
 #: use this — their positional return values cannot have holes).
 ON_ERROR_POLICIES = ("salvage", "raise")
 
-#: Executor selection: ``"auto"`` picks processes when the host has real
-#: parallelism and the model pickles (threads otherwise), ``"process"``
-#: forces the process pool whenever the model pickles, ``"thread"``
-#: forces the in-process thread path.
-EXECUTORS = ("auto", "process", "thread")
-
-#: Ceiling on one exponential-backoff sleep, seconds.
+#: Ceiling on one exponential-backoff delay, seconds.
 _BACKOFF_CAP = 1.0
 
 
@@ -150,7 +135,8 @@ class BatchResult:
     pre-fault-tolerance one.  ``cache_hits``/``cache_misses`` count the
     dominance cache's memo lookups performed by this batch (summed over
     worker processes); ``workers`` records the fan-out actually used;
-    ``retries`` the number of re-dispatched task attempts.
+    ``retries`` the number of task retries (a shard re-dispatch under
+    the coordinator counts only on its ``DistribResult``).
 
     ``stats`` is a :class:`~repro.obs.BatchStats` aggregate of the whole
     batch's provenance (terms, samples, reductions, degradations, cache
@@ -189,7 +175,7 @@ class BatchResult:
 
 def _resolve_workers(workers: int | None, n: int) -> int:
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = _effective_cores()
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ReproError(
             f"workers must be a positive integer or None (= all cores), "
@@ -202,14 +188,6 @@ def _chunked(items: List, chunk_size: int) -> List[List]:
     return [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
 
 
-def _model_is_picklable(preferences: PreferenceModel) -> bool:
-    try:
-        pickle.dumps(preferences)
-    except Exception:
-        return False
-    return True
-
-
 def _effective_cores() -> int:
     """Cores this process may actually run on (affinity-aware)."""
     try:
@@ -220,10 +198,12 @@ def _effective_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _sleep_backoff(backoff: float, attempt: int) -> None:
-    """Capped exponential delay before the ``attempt``-th try (2-based)."""
-    if backoff > 0.0:
-        time.sleep(min(backoff * (2.0 ** (attempt - 2)), _BACKOFF_CAP))
+def _backoff_delay(backoff: float, retry: int) -> float:
+    """Capped exponential delay before the ``retry``-th retry (1-based):
+    ``backoff * 2**(retry - 1)`` seconds, at most ``_BACKOFF_CAP``.  The
+    chunk runner sleeps it before a task's retry; the shard coordinator
+    waits it out before a shard's re-dispatch."""
+    return min(backoff * 2.0 ** (retry - 1), _BACKOFF_CAP)
 
 
 def spawn_batch_seeds(
@@ -366,65 +346,13 @@ _Task = Tuple[int, int, object]
 _Outcome = Tuple[int, SkylineReport | None, "BatchFailure | None", int]
 
 
-def _solve_chunk(
-    dataset: Dataset,
-    preferences: PreferenceModel,
-    max_exact_objects: int,
-    method: str,
-    query_options: dict,
-    injector: object,
-    observe: bool,
-    attempt: int,
-    tasks: List[_Task],
-) -> Tuple[List[Tuple[int, SkylineReport]], int, int]:
-    """Process-pool entry point: answer one chunk of tasks, fail-fast.
-
-    Top-level (picklable) on purpose.  ``method`` and ``query_options``
-    are the batch's :class:`~repro.core.options.QueryOptions` as plain
-    keywords.  Each worker process rebuilds them, a lightweight engine
-    and its own :class:`DominanceCache` — caches cannot
-    be shared across process boundaries, but a chunk-local cache still
-    amortises lookups within the chunk.  The chunk is answered by
-    :func:`_run_chunk_inprocess` as its last attempt: any failure aborts
-    the chunk — the first failing task's error, in task order, surfaces
-    on its future — and the coordinator re-dispatches in-process where
-    per-object recovery is cheap.  Returns the chunk's
-    ``(position, report)`` pairs plus its cache hit/miss counts.
-
-    ``observe`` carries the coordinator's :mod:`repro.obs` switch into
-    the worker explicitly — spawn-style pools do not inherit module
-    globals — so per-query ``stats`` records ride on the pickled reports
-    regardless of the pool's start method.
-    """
-    if observe and not obs.is_enabled():
-        obs.enable()
-    engine = SkylineProbabilityEngine(
-        dataset, preferences, max_exact_objects=max_exact_objects
-    )
-    cache = DominanceCache(preferences)
-    options = QueryOptions(**dict(query_options, method=method))
-    # The chunk's last attempt, raising the first failure in task order.
-    outcomes = _run_chunk_inprocess(
-        engine, cache, options, injector, tasks,
-        attempts_done=attempt - 1, max_retries=attempt - 1, backoff=0.0,
-        on_error="raise",
-    )
-    return (
-        [(position, report) for position, report, _, _ in outcomes],
-        cache.hits,
-        cache.misses,
-    )
-
-
 def _give_up(
     index: int, error: Exception, attempts: int, on_error: str
 ) -> BatchFailure:
     """A task out of attempts: raise its error or record it as a failure."""
     if on_error == "raise":
         raise error
-    return BatchFailure(
-        index, type(error).__name__, str(error), max(attempts, 1)
-    )
+    return BatchFailure(index, type(error).__name__, str(error), attempts)
 
 
 def _run_task_with_retry(
@@ -434,48 +362,39 @@ def _run_task_with_retry(
     injector: object,
     task: _Task,
     *,
-    attempts_done: int,
     max_retries: int,
     backoff: float,
     on_error: str,
-    last_error: Exception | None = None,
+    last_error: Exception,
 ) -> _Outcome:
-    """Answer one task in-process, retrying transient failures.
+    """Retry one task whose first attempt failed with ``last_error``.
 
-    ``attempts_done`` counts dispatches already burned elsewhere (a chunk
-    that failed in the process pool arrives with 1).  Deterministic
-    library errors (:class:`ReproError`) are never retried — re-running
-    the same exact computation cannot heal a budget violation — while
-    anything else (injected crashes, infrastructure faults) is retried
-    with capped exponential backoff until ``max_retries + 1`` total
-    attempts are spent.  A task that still fails is either recorded as a
-    :class:`BatchFailure` (``on_error="salvage"``) or re-raised.  The
-    task is one :meth:`SkylineProbabilityEngine.skyline_probability`
-    query.
+    Deterministic library errors (:class:`ReproError`) are never
+    retried — re-running the same exact computation cannot heal a budget
+    violation — while anything else (injected crashes, infrastructure
+    faults) is retried with capped exponential backoff until
+    ``max_retries + 1`` total attempts are spent.  A task that still
+    fails is either recorded as a :class:`BatchFailure`
+    (``on_error="salvage"``) or re-raised.  Each retry is one
+    :meth:`SkylineProbabilityEngine.skyline_probability` query.
     """
     position, index, task_seed = task
     keywords = options.as_kwargs()
-    allowed = max_retries + 1
-    attempt = attempts_done
-    retries_used = 0
-    while attempt < allowed:
+    attempt = 1
+    while attempt <= max_retries and not isinstance(last_error, ReproError):
         attempt += 1
-        if attempt > 1:
-            retries_used += 1
-            _sleep_backoff(backoff, attempt)
+        time.sleep(_backoff_delay(backoff, attempt - 1))
         try:
             if injector is not None:
                 injector.before_task(index, attempt)
             report = engine.skyline_probability(
                 index, seed=task_seed, cache=cache, **keywords
             )
-            return position, report, None, retries_used
+            return position, report, None, attempt - 1
         except Exception as error:
             last_error = error
-            if isinstance(error, ReproError):
-                break  # deterministic: retrying cannot change the outcome
     failure = _give_up(index, last_error, attempt, on_error)
-    return position, None, failure, retries_used
+    return position, None, failure, attempt - 1
 
 
 def _run_chunk_inprocess(
@@ -485,45 +404,30 @@ def _run_chunk_inprocess(
     injector: object,
     chunk: List[_Task],
     *,
-    attempts_done: int,
     max_retries: int,
     backoff: float,
     on_error: str,
-    last_error: Exception | None = None,
     beat: Callable[[int, int], None] | None = None,
 ) -> List[_Outcome]:
     """Answer a chunk in-process; one bad task cannot poison its chunk.
 
-    The chunk's next attempt is one pass of the engine's multi-target
-    form: the injector is consulted before each task (after its backoff
-    when the attempt is a retry), every task is planned, one exact call
-    solves them all and each is finished.  A task that fails there goes
-    on alone: a :class:`ReproError` is recorded or raised, anything else
-    is retried per task (:func:`_run_task_with_retry`).  On the last
-    attempt under ``on_error="raise"`` the pass plans nothing after the
-    first failure, which then raises.  ``beat(done, total)`` is a
-    heartbeat outside every task, called at each step of the pass and
-    before each per-task retry, with ``done`` the tasks whose outcome
-    is settled; what it raises aborts the chunk.
+    The chunk's first attempt is one pass of the engine's multi-target
+    form: the injector is consulted before each task, every task is
+    planned, one exact call solves them all and each is finished.  A
+    task that fails there goes on alone: a :class:`ReproError` is
+    recorded or raised, anything else is retried per task
+    (:func:`_run_task_with_retry`).  With no retries under
+    ``on_error="raise"`` the pass plans nothing after the first failure,
+    which then raises.  ``beat(done, total)`` is a heartbeat outside
+    every task, called at each step of the pass and before each per-task
+    retry, with ``done`` the tasks whose outcome is settled; what it
+    raises aborts the chunk.
     """
-    attempt = attempts_done + 1
-    if attempt > max_retries + 1:
-        # Every attempt is spent: record (or raise) the error that did it.
-        return [
-            _run_task_with_retry(
-                engine, cache, options, injector, task,
-                attempts_done=attempts_done, max_retries=max_retries,
-                backoff=backoff, on_error=on_error, last_error=last_error,
-            )
-            for task in chunk
-        ]
     total = len(chunk)
 
     def before(position: int) -> None:
-        if attempt > 1:
-            _sleep_backoff(backoff, attempt)
         if injector is not None:
-            injector.before_task(chunk[position][1], attempt)
+            injector.before_task(chunk[position][1], 1)
 
     answers = engine._skyline_probability_many(
         [(index, task_seed) for _, index, task_seed in chunk],
@@ -531,26 +435,26 @@ def _run_chunk_inprocess(
         cache,
         before=before,
         beat=None if beat is None else lambda: beat(0, total),
-        stop_at_error=on_error == "raise" and attempt > max_retries,
+        stop_at_error=on_error == "raise" and max_retries == 0,
     )
-    retried = int(attempt > 1)
     outcomes: List[_Outcome] = []
     for done, (task, answer) in enumerate(zip(chunk, answers)):
         position, index, _ = task
         if isinstance(answer, SkylineReport):
-            outcomes.append((position, answer, None, retried))
+            outcomes.append((position, answer, None, 0))
         elif isinstance(answer, ReproError):
-            failure = _give_up(index, answer, attempt, on_error)
-            outcomes.append((position, None, failure, retried))
+            failure = _give_up(index, answer, 1, on_error)
+            outcomes.append((position, None, failure, 0))
         else:
             if beat is not None:
                 beat(done, total)
-            position, report, failure, retries_used = _run_task_with_retry(
-                engine, cache, options, injector, task,
-                attempts_done=attempt, max_retries=max_retries,
-                backoff=backoff, on_error=on_error, last_error=answer,
+            outcomes.append(
+                _run_task_with_retry(
+                    engine, cache, options, injector, task,
+                    max_retries=max_retries, backoff=backoff,
+                    on_error=on_error, last_error=answer,
+                )
             )
-            outcomes.append((position, report, failure, retries_used + retried))
     return outcomes
 
 
@@ -566,7 +470,6 @@ def batch_skyline_probabilities(
     max_retries: int = 2,
     backoff: float = 0.05,
     on_error: str = "salvage",
-    executor: str = "auto",
     fault_injector: object = None,
     **options: object,
 ) -> BatchResult:
@@ -592,28 +495,28 @@ def batch_skyline_probabilities(
         Object positions to answer (default: the whole dataset, in order).
     workers:
         Fan-out width: ``1`` (default) answers in-process, ``None`` uses
-        every core.  Object chunks go to a ``concurrent.futures`` process
-        pool; when only one core is available or the preference model
-        cannot be pickled (procedural models closing over local state),
-        the chunks instead run sequentially in-process sharing the one
-        dominance cache — the queries are GIL-bound pure Python, so a
-        thread pool would only add contention (measured ~10% slower; see
-        ``results/parallel_batch.md``).  A thread pool is still used
-        when ``executor="thread"`` is forced.  The answers are identical
-        for every choice.
+        every core this process may run on.  With more than one worker
+        the batch runs on a :class:`repro.distrib.ShardCoordinator` of
+        that many worker processes (checkpointing off; its heartbeats,
+        hedging, shard retries and salvage apply); when the process may
+        run on only one core, the chunks run sequentially in-process
+        instead — the queries are GIL-bound pure Python, so more workers
+        could only add contention.  The answers are identical for every
+        choice; ``cache_hits``/``cache_misses`` and ``retries`` follow
+        the coordinator's shard plan (shard re-dispatches show only on
+        :meth:`ShardCoordinator.run`'s ``DistribResult``).
     cache:
         A :class:`DominanceCache` to (re)use; by default a fresh one is
         created for the batch.  Must have been built from ``engine``'s
-        preference model.  Worker *processes* build chunk-local caches —
-        the shared instance serves the in-process and threaded paths.
+        preference model.  It serves the in-process path; coordinator
+        workers build a fresh cache per shard.
     chunk_size:
-        Objects per worker task (default: one chunk per worker, which
-        maximises what each worker-local dominance cache can amortise;
-        pass something smaller for finer load balancing).  A chunk is
-        answered through one exact call, so it is also the unit that
-        shares ``"vec"`` evaluations between objects (with ``workers=1``
-        the default is one chunk of every object).  Affects scheduling
-        only, never the answers.
+        Objects per chunk in-process (default: one chunk of every
+        object), or the shard cap under the coordinator (default: its
+        component-aligned ``ceil(n / 8)`` plan, see :func:`plan_shards`).
+        A chunk is answered through one exact call, so it is also the
+        unit that shares ``"vec"`` evaluations between objects.  Affects
+        scheduling only, never the answers.
     seed:
         Feeds one spawned stream per object for the sampling methods
         (and, with a ``deadline`` armed, for the exact methods'
@@ -628,23 +531,22 @@ def batch_skyline_probabilities(
         direct query each request would have made: pass each request's
         own derived stream instead of streams keyed to batch positions.
     max_retries, backoff:
-        Fault-tolerance budget per task: a failed dispatch (worker crash,
-        ``BrokenProcessPool``, pickling error, injected chaos fault) is
-        re-dispatched — falling back from the process pool to the
-        in-process thread path — with capped exponential backoff
-        (``backoff * 2**k`` seconds, capped at 1s) until ``max_retries``
-        retries are spent.  Deterministic :class:`ReproError` failures
-        are never retried.
+        Fault-tolerance budget per task: a failed query (an injected
+        chaos fault, an infrastructure error) is retried with capped
+        exponential backoff (``backoff * 2**k`` seconds, capped at 1s)
+        until ``max_retries`` retries are spent.  Deterministic
+        :class:`ReproError` failures are never retried.  Under the
+        coordinator, ``backoff`` also spaces the re-dispatches of a shard
+        whose worker died, stalled or failed; a worker that dies on every
+        dispatch salvages its whole shard.
     on_error:
         ``"salvage"`` (default) turns an object whose query permanently
         fails into a structured :class:`BatchFailure` entry while the
         rest of the batch completes; ``"raise"`` propagates the error
         (the engine's facade methods use this — their positional return
-        values cannot have holes).
-    executor:
-        One of :data:`EXECUTORS`; ``"auto"`` (default) keeps the
-        hardware-driven choice, ``"process"``/``"thread"`` force one path
-        (chaos tests use this to exercise each executor deterministically).
+        values cannot have holes).  Under the coordinator the error
+        raised is a :class:`~repro.errors.ShardFailedError` naming the
+        shard and the last error.
     fault_injector:
         Optional :class:`repro.robustness.FaultInjector` consulted before
         every per-object query — the deterministic chaos hook.  ``None``
@@ -663,10 +565,6 @@ def batch_skyline_probabilities(
         raise RobustnessPolicyError(
             f"unknown on_error policy {on_error!r}; expected one of "
             f"{ON_ERROR_POLICIES}"
-        )
-    if executor not in EXECUTORS:
-        raise RobustnessPolicyError(
-            f"unknown executor {executor!r}; expected one of {EXECUTORS}"
         )
     if fault_injector is not None and not callable(
         getattr(fault_injector, "before_task", None)
@@ -694,11 +592,32 @@ def batch_skyline_probabilities(
         )
     n = len(index_list)
     workers = _resolve_workers(workers, n)
-    collect = obs.is_enabled()
-    started = time.perf_counter() if collect else 0.0
     if n == 0:
         return BatchResult((), (), query.method, workers)
+    if workers > 1 and _effective_cores() > 1:
+        # Deferred: repro.distrib builds on this module.
+        from repro.distrib.coordinator import DistribConfig, ShardCoordinator
 
+        config = DistribConfig(
+            workers=workers,
+            max_shard_objects=chunk_size,
+            task_retries=int(max_retries),
+            backoff=backoff,
+            on_error=on_error,
+        )
+        batch = ShardCoordinator(engine, config).run(
+            indices=index_list,
+            seed=seed,
+            seeds=seeds,
+            fault_injector=fault_injector,
+            **options,
+        ).batch
+        if batch.stats is not None:
+            _record_batch(batch.stats)
+        return batch
+
+    collect = obs.is_enabled()
+    started = time.perf_counter() if collect else 0.0
     # One spawned stream per object: independent across objects, fixed by
     # (seed, position) alone — chunking and worker count cannot move them.
     # An armed deadline spawns streams for exact methods too, so their
@@ -711,119 +630,25 @@ def batch_skyline_probabilities(
         query.method, n, seed=seed, seeds=seeds, deadline=query.deadline
     )
     tasks: List[_Task] = list(zip(range(n), index_list, seed_list))
-
     results: Dict[int, SkylineReport] = {}
     failure_map: Dict[int, BatchFailure] = {}
     retries = 0
     hits_before, misses_before = cache.hits, cache.misses
-    child_hits = 0
-    child_misses = 0
-
-    def absorb(outcomes: List[_Outcome]) -> None:
-        nonlocal retries
-        for position, report, failure, retries_used in outcomes:
+    for chunk in _chunked(tasks, chunk_size or n):
+        for position, report, failure, retries_used in _run_chunk_inprocess(
+            engine, cache, query, fault_injector, chunk,
+            max_retries=max_retries, backoff=backoff, on_error=on_error,
+        ):
             retries += retries_used
             if report is not None:
                 results[position] = report
             else:
                 failure_map[position] = failure
 
-    recovery_policy = dict(
-        max_retries=max_retries, backoff=backoff, on_error=on_error
-    )
-    if workers == 1:
-        for chunk in _chunked(tasks, chunk_size or n):
-            absorb(
-                _run_chunk_inprocess(
-                    engine, cache, query, fault_injector,
-                    chunk, attempts_done=0, **recovery_policy,
-                )
-            )
-    else:
-        if chunk_size is None:
-            chunk_size = max(1, -(-n // workers))
-        chunks = _chunked(tasks, chunk_size)
-        if executor == "thread":
-            use_processes = False
-        else:
-            # Processes pay for isolation with cold chunk-local caches,
-            # which only amortises when they buy real parallelism; on a
-            # single-core host (unless forced) or with an unpicklable
-            # model, threads keep the one shared cache instead.  Either
-            # way the answers are identical.
-            use_processes = _model_is_picklable(engine.preferences) and (
-                executor == "process" or _effective_cores() > 1
-            )
-        # Chunks whose dispatch fails land here as (chunk, attempts
-        # burned, last error) and are re-dispatched on the thread path.
-        recovery: List[Tuple[List[_Task], int, Exception | None]] = []
-        if use_processes:
-            solve = partial(
-                _solve_chunk,
-                engine.dataset,
-                engine.preferences,
-                engine.max_exact_objects,
-                query.method,
-                query.as_kwargs(),
-                fault_injector,
-                collect,
-            )
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                future_map = {}
-                for chunk in chunks:
-                    try:
-                        future_map[pool.submit(solve, 1, chunk)] = chunk
-                    except Exception as error:
-                        # Submission itself failed (broken pool, pickling).
-                        recovery.append((chunk, 1, error))
-                for future, chunk in future_map.items():
-                    try:
-                        chunk_reports, chunk_hits, chunk_misses = future.result()
-                    except Exception as error:
-                        # Worker crash, BrokenProcessPool, injected fault,
-                        # or an error raised by the queries themselves.
-                        recovery.append((chunk, 1, error))
-                    else:
-                        for position, report in chunk_reports:
-                            results[position] = report
-                        child_hits += chunk_hits
-                        child_misses += chunk_misses
-        else:
-            # The in-process path shares the engine and the cache
-            # directly.  Same answers, shared memoisation — and no pool
-            # to lose.
-            recovery = [(chunk, 0, None) for chunk in chunks]
-        if recovery:
-
-            def recover(
-                entry: Tuple[List[_Task], int, Exception | None]
-            ) -> List[_Outcome]:
-                chunk, attempts_done, last_error = entry
-                return _run_chunk_inprocess(
-                    engine, cache, query, fault_injector,
-                    chunk, attempts_done=attempts_done,
-                    last_error=last_error, **recovery_policy,
-                )
-
-            # Fan out to a thread pool only when the caller forced the
-            # threaded executor (the chaos suites exercise it for real
-            # concurrency).  On the auto fallback — single-core host,
-            # unpicklable model, or process-chunk recovery — the queries
-            # are GIL-bound pure Python, so extra threads buy no
-            # parallelism and cost context switches: workers=4 measured
-            # ~10% *slower* than workers=1 before this guard.
-            if executor == "thread" and workers > 1 and len(recovery) > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    for outcomes in pool.map(recover, recovery):
-                        absorb(outcomes)
-            else:
-                for entry in recovery:
-                    absorb(recover(entry))
-
     answered = sorted(results)
     reports = tuple(results[position] for position in answered)
-    cache_hits = cache.hits - hits_before + child_hits
-    cache_misses = cache.misses - misses_before + child_misses
+    cache_hits = cache.hits - hits_before
+    cache_misses = cache.misses - misses_before
     stats = None
     if collect:
         stats = BatchStats.from_reports(

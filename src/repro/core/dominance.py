@@ -154,8 +154,8 @@ class DominanceCache:
 
     The cache is **thread-safe**: every lookup and mutation runs under one
     internal lock, taken once per call, so concurrent queries sharing one
-    warm engine — the serving tier's coalesced batches, threaded batch
-    fallbacks — can neither corrupt the memo dicts nor lose counter
+    warm engine — the serving tier's coalesced batches, queries from
+    caller threads — can neither corrupt the memo dicts nor lose counter
     increments: ``hits + misses`` always equals the number of lookups
     made.  The lock guards per-call critical sections only; the *answers*
     never depended on it (cached values are pure functions of the model).

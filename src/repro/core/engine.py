@@ -839,8 +839,8 @@ class SkylineProbabilityEngine:
         (:func:`~repro.core.batch.batch_skyline_probabilities`, which
         takes ``batch_options``): one shared :class:`~repro.core.dominance.DominanceCache` amortises
         preference lookups across all queries, and ``workers`` fans object
-        chunks out over a process pool (``workers=None`` uses every core;
-        a thread pool is substituted when the model cannot be pickled).
+        shards out over the shard coordinator's worker processes
+        (``workers=None`` uses every core this process may run on).
         Sampling methods draw one spawned, per-object random stream from
         ``seed``, so the output is identical for every ``workers``/
         ``chunk_size`` choice.

@@ -1,9 +1,10 @@
 """``repro.distrib`` — supervised sharded execution of batch queries.
 
-The batch planner (:mod:`repro.core.batch`) is fault-tolerant *inside*
-one process pool; this package makes the all-objects computation survive
-the pool itself: :class:`ShardCoordinator` splits the batch into
-partition-component-aligned shards (:func:`repro.core.batch.plan_shards`),
+The batch planner (:mod:`repro.core.batch`) retries and salvages failed
+queries inside one process; this package makes the all-objects
+computation survive its worker processes, and the batch planner runs on
+it whenever ``workers > 1``.  :class:`ShardCoordinator` splits the batch
+into partition-component-aligned shards (:func:`repro.core.batch.plan_shards`),
 runs them on supervised worker processes with heartbeat liveness,
 hedged re-dispatch of stragglers, bounded shard retries with a
 salvaging circuit breaker, and a versioned JSONL checkpoint

@@ -3,9 +3,11 @@
 :class:`ShardCoordinator` turns an all-objects (or index-subset) skyline
 probability computation into partition-component-aligned shards
 (:func:`repro.core.batch.plan_shards`) and supervises a pool of worker
-*processes* across their whole lifetime — where the batch planner's
-fault tolerance ends.  The planner (PR 2) retries failed chunk
-dispatches inside one pool; the coordinator additionally survives:
+*processes* across their whole lifetime.  It is the one parallel stack:
+:func:`repro.core.batch.batch_skyline_probabilities` with ``workers > 1``
+runs on it.  Each worker answers its shard through the batch planner's
+chunk runner, which retries failed tasks in place; the coordinator
+additionally survives:
 
 * **worker death** — a SIGKILLed/crashed worker surfaces as a broken
   pipe or a dead process; its shard is re-dispatched to a respawned
@@ -34,10 +36,10 @@ dispatches inside one pool; the coordinator additionally survives:
   :class:`~repro.core.batch.BatchResult`.
 
 The merged result carries bit-identical reports and probabilities to
-:func:`repro.core.batch.batch_skyline_probabilities` with the same
-``method``/``seed``/options (only the cache hit/miss counters are
-plan-shaped: shards keep per-dispatch dominance caches where the batch
-planner keeps per-chunk ones).  And the *whole* merged
+the in-process :func:`repro.core.batch.batch_skyline_probabilities`
+with the same ``method``/``seed``/options (only the cache hit/miss
+counters are plan-shaped: shards keep per-dispatch dominance caches
+where the in-process batch keeps one).  And the *whole* merged
 :class:`~repro.core.batch.BatchResult` — counters included — is
 bit-identical across supervised runs for any worker count, fault
 pattern, hedge race or resume point, because the shard plan itself is
@@ -60,6 +62,7 @@ from repro.core.batch import (
     BatchFailure,
     BatchResult,
     Shard,
+    _backoff_delay,
     plan_shards,
     spawn_batch_seeds,
 )
@@ -87,9 +90,6 @@ from repro.distrib.protocol import (
 from repro.distrib.worker import worker_main
 
 __all__ = ["DistribConfig", "DistribResult", "ShardCoordinator", "ShardOutcome"]
-
-#: Ceiling on one shard-level backoff delay, seconds.
-_BACKOFF_CAP = 1.0
 
 
 def _is_finite(value: object) -> bool:
@@ -123,10 +123,10 @@ class DistribConfig:
     ``resume=False`` overwrites an existing checkpoint instead of
     resuming from it.  ``run_timeout`` hard-bounds the whole run
     (raises :class:`~repro.errors.DistribError`), which CI uses to keep
-    chaos suites from ever wedging.  ``start_method`` picks the
-    :mod:`multiprocessing` context (default: ``fork`` when available —
-    it also supports unpicklable procedural preference models — else
-    the platform default).
+    chaos suites from ever wedging.  Workers start with ``fork`` when
+    the platform offers it (the model then never crosses a pipe, so an
+    unpicklable procedural preference model works too), else with the
+    platform's default start method.
     """
 
     workers: int = 2
@@ -143,7 +143,6 @@ class DistribConfig:
     resume: bool = True
     run_timeout: Optional[float] = None
     poll_interval: float = 0.02
-    start_method: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,7 @@ class DistribResult:
     """One supervised run: the merged batch plus supervision provenance.
 
     ``batch`` carries bit-identical indices, reports and probabilities
-    to the one-shot
+    to the in-process
     :func:`~repro.core.batch.batch_skyline_probabilities` answer for the
     same arguments (cache counters are plan-shaped and ``stats``
     wall-clock is not replayable), and is bit-identical *in full* to any
@@ -585,12 +584,9 @@ class _SupervisedRun:
 
     # -- workers -------------------------------------------------------
     def _context(self):
-        method = self._config.start_method
-        if method is None:
-            method = (
-                "fork" if "fork" in mp.get_all_start_methods() else None
-            )
-        return mp.get_context(method)
+        return mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else None
+        )
 
     def _spawn_worker(self, *, initial: bool) -> _WorkerHandle:
         ctx = self._context()
@@ -770,11 +766,10 @@ class _SupervisedRun:
                 return
             self._salvage_shard(shard_id, now)
             return
-        backoff = self._config.backoff
         delay = (
-            min(backoff * (2.0 ** (state.failures - 1)), _BACKOFF_CAP)
-            if backoff > 0.0 and not state.deterministic
-            else 0.0
+            0.0
+            if state.deterministic
+            else _backoff_delay(self._config.backoff, state.failures)
         )
         state.next_eligible = now + delay
         if shard_id not in self._pending:
@@ -978,19 +973,30 @@ class _SupervisedRun:
             self._shutdown()
 
     def _shutdown(self) -> None:
-        for handle in list(self._workers):
-            if not handle.dead and handle.idle and handle.process.is_alive():
-                try:
-                    handle.conn.send((MSG_STOP,))
-                except (BrokenPipeError, OSError):
-                    pass
-        deadline = time.monotonic() + 0.5
-        for handle in list(self._workers):
-            remaining = max(0.0, deadline - time.monotonic())
-            handle.process.join(remaining)
-        for handle in list(self._workers):
-            self._kill_worker(handle)
-        self._workers.clear()
+        """Tear the pool down: idle workers are sent ``MSG_STOP`` and get
+        0.5 s to exit; a busy one (a hedge loser, a stalled shard) never
+        reads the message, so it is killed at once.  Whatever is left —
+        a worker past its grace, or every worker when an interrupt lands
+        mid-shutdown — is killed on the way out."""
+        try:
+            stopping = []
+            for handle in self._workers:
+                if handle.idle and handle.process.is_alive():
+                    try:
+                        handle.conn.send((MSG_STOP,))
+                    except (BrokenPipeError, OSError):
+                        continue
+                    stopping.append(handle)
+            for handle in list(self._workers):
+                if handle not in stopping:
+                    self._kill_worker(handle)
+            deadline = time.monotonic() + 0.5
+            for handle in stopping:
+                handle.process.join(max(0.0, deadline - time.monotonic()))
+        finally:
+            for handle in list(self._workers):
+                self._kill_worker(handle)
+            self._workers.clear()
 
 
 def _record_distrib(stats: DistribStats) -> None:

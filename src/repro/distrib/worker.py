@@ -112,10 +112,9 @@ def execute_shard(
 ) -> ShardPayload:
     """Run one shard dispatch and return its payload.
 
-    Factored out of the process loop so the coordinator can also run a
-    shard *inline* (workers=0 debugging, and the salvage path of a shard
-    whose objects persistently fail) and so tests can exercise shard
-    execution without process machinery.  The shard's objects are
+    Factored out of the process loop so tests (and a bare process pool,
+    as the ``distrib_overhead`` experiment's baseline) can run a shard
+    without the supervision machinery.  The shard's objects are
     answered as one chunk: each is planned, one exact call solves all of
     them, and each is finished.  ``beat`` is called as ``beat(done,
     total)`` before each object is planned, in the exact call before
@@ -140,7 +139,6 @@ def execute_shard(
         options,
         injector,
         list(task.tasks),
-        attempts_done=0,
         max_retries=task_retries,
         backoff=backoff,
         on_error="salvage" if task.salvage else "raise",
@@ -179,7 +177,7 @@ def worker_main(
     ``observe`` carries the coordinator's :mod:`repro.obs` switch across
     the process boundary (spawn-style workers do not inherit module
     globals), so per-query ``stats`` ride on the pickled reports exactly
-    as they do in the batch planner's process pool.
+    as they do on an in-process batch.
     """
     if observe and not obs.is_enabled():
         obs.enable()

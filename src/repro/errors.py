@@ -111,7 +111,7 @@ class RobustnessPolicyError(ComputationBudgetError):
     """A fault-tolerance parameter is malformed.
 
     Raised at the API boundary when ``deadline``, ``max_retries``,
-    ``backoff``, ``on_deadline``, ``on_error`` or ``executor`` cannot be
+    ``backoff``, ``on_deadline`` or ``on_error`` cannot be
     interpreted — before any work (or any worker dispatch) happens.
     """
 

@@ -5,7 +5,7 @@ and :class:`BatchStats` on :class:`~repro.core.batch.BatchResult` when
 instrumentation is enabled (see :mod:`repro.obs`); both are ``None``
 otherwise, so the disabled path allocates nothing.  The records are
 frozen and built from plain ints/floats/strings only — they pickle
-cleanly across the batch planner's process pool.
+cleanly across the shard coordinator's worker pipes.
 
 The counters deliberately mirror the numbers the sub-results already
 carry (``ExactResult.terms_evaluated``, ``SamplingResult.checks``,
@@ -181,7 +181,7 @@ class BatchStats:
 
     The counters are summed from the batch's *reports* (not from the
     optional per-report :class:`QueryStats`), so they are exact even when
-    a process-pool worker answered a chunk; ``stage_seconds`` is the one
+    a coordinator worker answered a shard; ``stage_seconds`` is the one
     field aggregated from per-report stats, since timings never travel
     inside the reports themselves.  ``cache_hits``/``cache_misses``/
     ``retries`` mirror the same-named :class:`BatchResult` fields.

@@ -11,13 +11,14 @@ surviving objects remain bit-identical to a fault-free run.
 
 The injector is consulted by ``batch_skyline_probabilities`` immediately
 before each per-object query (pass it as ``fault_injector=``).  It is a
-frozen dataclass of primitives, so it pickles into process-pool workers;
-decisions need no shared state because the coordinator passes the attempt
-number in.
+frozen dataclass of primitives, so it also reaches worker processes that
+do not fork; decisions need no shared state because the caller passes
+the attempt number in.
 
 ``UnpicklableModel`` wraps a preference model so that ``pickle.dumps``
-fails, forcing the planner's thread-pool fallback — the third fault class
-(serialization) next to crashes and slowness.
+fails — the serialization fault class next to crashes and slowness,
+which fork-started shard workers must survive by never pickling the
+model.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ __all__ = ["FAULT_KINDS", "InjectedFault", "FaultInjector", "UnpicklableModel"]
 
 #: How an injected crash manifests: ``"raise"`` throws
 #: :class:`InjectedFault` inside the worker (a clean task failure);
-#: ``"exit"`` kills the worker *process* outright (``os._exit``), which
-#: breaks the whole process pool — the harshest failure the planner must
-#: survive.  ``"exit"`` degrades to ``"raise"`` outside a worker process,
-#: so an injector can never kill the coordinating process.
+#: ``"exit"`` kills the worker *process* outright (``os._exit``), the
+#: harshest failure: the shard coordinator must respawn the worker and
+#: re-dispatch its shard.  ``"exit"`` degrades to ``"raise"`` outside a
+#: worker process, so an injector can never kill the coordinating process.
 FAULT_KINDS = ("raise", "exit")
 
 #: Exit status used by ``kind="exit"`` hard crashes (arbitrary, non-zero).
@@ -211,10 +212,10 @@ class UnpicklableModel:
     """Wrap a preference model so it cannot cross a process boundary.
 
     Forwards every attribute to the wrapped model (queries behave
-    identically) but fails ``pickle.dumps``, which forces
-    ``batch_skyline_probabilities`` onto its thread-pool fallback — the
-    serialization fault class of the chaos suite, standing in for real
-    procedural models built from closures.
+    identically) but fails ``pickle.dumps`` — the serialization fault
+    class of the chaos suite, standing in for real procedural models
+    built from closures, which ``batch_skyline_probabilities`` must still
+    run on fork-started workers.
     """
 
     def __init__(self, preferences: object) -> None:
@@ -231,5 +232,5 @@ class UnpicklableModel:
     def __reduce__(self):
         raise pickle.PicklingError(
             "UnpicklableModel deliberately cannot be pickled "
-            "(chaos testing: forces the thread-pool fallback)"
+            "(chaos testing: the serialization fault class)"
         )

@@ -3,8 +3,9 @@
 The contract under test (:mod:`repro.core.batch`): for every method the
 batch planner returns exactly what the per-object loop returns — equal
 floats for the deterministic methods, bit-for-bit equal estimates for the
-sampled ones given matching spawned streams — regardless of ``workers``,
-``chunk_size``, executor flavour (process/thread), or cache sharing.
+sampled ones given matching spawned streams — regardless of ``workers``
+(in-process, or on the shard coordinator's worker processes),
+``chunk_size``, or cache sharing.
 """
 
 from __future__ import annotations
@@ -146,9 +147,9 @@ class TestWorkersChunksDeterminism:
         assert list(result.probabilities) == serial
 
     def test_unpicklable_model_falls_back_inprocess(self):
-        # A class defined inside the test body cannot be pickled, which
-        # vetoes the process pool (work then runs in-process,
-        # sequentially); answers must not change.
+        # A class defined inside the test body cannot be pickled; the
+        # coordinator's fork-started workers never pickle the model, so
+        # it fans out like any other, and the answers must not change.
         class LocalModel(HashedPreferenceModel):
             pass
 
@@ -177,23 +178,22 @@ class TestSingleCoreScheduling:
     """Regression: ``workers>1`` must never be slower by construction.
 
     ``results/parallel_batch.md`` once recorded ``workers=4`` ~10%
-    slower than ``workers=1``: on a single-core host the auto executor
-    fell back to a ``ThreadPoolExecutor`` whose GIL-bound threads only
-    added context switches.  The fallback now runs chunks sequentially;
-    a thread pool is used solely when ``executor="thread"`` is forced.
+    slower than ``workers=1``: on a single-core host the batch fell back
+    to a thread pool whose GIL-bound threads only added context
+    switches.  On one core the batch now answers in-process; with more,
+    ``workers>1`` runs on the shard coordinator.
     """
 
     def test_auto_fallback_avoids_thread_pool_on_one_core(self, monkeypatch):
         import repro.core.batch as batch_module
+        import repro.distrib.coordinator as coordinator_module
 
         monkeypatch.setattr(batch_module, "_effective_cores", lambda: 1)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError(
-                "auto fallback must not construct a thread pool"
-            )
+            raise AssertionError("one core must answer in-process")
 
-        monkeypatch.setattr(batch_module, "ThreadPoolExecutor", forbidden)
+        monkeypatch.setattr(coordinator_module, "ShardCoordinator", forbidden)
         serial = _serial_loop(_engine("zipf"), "det+")
         result = batch_skyline_probabilities(
             _engine("zipf"), method="det+", workers=4
@@ -203,41 +203,29 @@ class TestSingleCoreScheduling:
 
     def test_unpicklable_fallback_avoids_thread_pool(self, monkeypatch):
         import repro.core.batch as batch_module
+        from repro.distrib import ShardCoordinator
 
         class LocalModel(HashedPreferenceModel):
             pass
 
-        monkeypatch.setattr(
-            batch_module,
-            "ThreadPoolExecutor",
-            lambda *a, **k: (_ for _ in ()).throw(
-                AssertionError("auto fallback must not construct a thread pool")
-            ),
-        )
+        runs = []
+        real_run = ShardCoordinator.run
+
+        def spy(coordinator, **kwargs):
+            runs.append(coordinator.config.workers)
+            return real_run(coordinator, **kwargs)
+
+        monkeypatch.setattr(batch_module, "_effective_cores", lambda: 2)
+        monkeypatch.setattr(ShardCoordinator, "run", spy)
         dataset = block_zipf_dataset(20, 3, seed=60)
         engine = SkylineProbabilityEngine(dataset, LocalModel(3, seed=61))
+        serial = _serial_loop(engine, "det+")
         result = batch_skyline_probabilities(
-            engine, method="det+", workers=4
+            SkylineProbabilityEngine(dataset, engine.preferences),
+            method="det+",
+            workers=4,
         )
-        assert len(result.probabilities) == len(dataset)
-
-    def test_forced_thread_executor_still_fans_out(self, monkeypatch):
-        import repro.core.batch as batch_module
-
-        constructed = []
-        real_pool = batch_module.ThreadPoolExecutor
-
-        class SpyPool(real_pool):
-            def __init__(self, *args, max_workers=None, **kwargs):
-                constructed.append(max_workers)
-                super().__init__(*args, max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(batch_module, "ThreadPoolExecutor", SpyPool)
-        serial = _serial_loop(_engine("zipf"), "det+")
-        result = batch_skyline_probabilities(
-            _engine("zipf"), method="det+", workers=3, executor="thread"
-        )
-        assert constructed == [3]
+        assert runs == [4]
         assert list(result.probabilities) == serial
 
 
@@ -464,9 +452,43 @@ class TestEffectiveCores:
         monkeypatch.setattr(os, "sched_getaffinity", denied, raising=False)
         serial = _serial_loop(_engine("zipf"), "det+")
         result = batch_skyline_probabilities(
-            _engine("zipf"), method="det+", workers=2, executor="thread"
+            _engine("zipf"), method="det+", workers=2
         )
         assert list(result.probabilities) == serial
+
+    def test_all_cores_means_the_cores_this_process_may_use(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        result = batch_skyline_probabilities(
+            _engine("zipf"), method="det+", workers=None
+        )
+        assert result.workers == 2
+        assert list(result.probabilities) == _serial_loop(
+            _engine("zipf"), "det+"
+        )
+
+    def test_numpy_integer_max_retries_runs_on_workers(self, monkeypatch):
+        import numpy as np
+
+        import repro.core.batch as batch_module
+        from repro.robustness import FaultInjector
+
+        monkeypatch.setattr(batch_module, "_effective_cores", lambda: 2)
+        clean = batch_skyline_probabilities(_engine("zipf"), method="det+")
+        result = batch_skyline_probabilities(
+            _engine("zipf"),
+            method="det+",
+            workers=2,
+            max_retries=np.int64(2),
+            backoff=0.001,
+            fault_injector=FaultInjector(seed=4, crash_rate=0.5),
+        )
+        assert result.probabilities == clean.probabilities
+        assert result.failures == ()
 
 
 class TestExplicitSeeds:

@@ -4,7 +4,7 @@ A batch chunk (or a shard) is planned object by object, solved in one
 exact call that evaluates the ``"vec"`` components sharing a key
 structure together, and finished object by object.  On an instance
 whose chunk really forms such groups, every report must equal the
-per-object query's bit for bit, whatever the chunking, the executor,
+per-object query's bit for bit, whatever the chunking, the workers,
 the supervision, the injected faults or an armed deadline.
 """
 
@@ -296,7 +296,8 @@ class TestShardHeartbeats:
 
 
 def test_pool_chunk_plans_nothing_after_its_first_failure():
-    from repro.core.batch import _solve_chunk
+    from repro.core.options import QueryOptions
+    from repro.distrib import ShardTask, execute_shard
 
     class Failing:
         def __init__(self):
@@ -311,9 +312,14 @@ def test_pool_chunk_plans_nothing_after_its_first_failure():
     injector = Failing()
     tasks = [(position, position, None) for position in range(len(dataset))]
     with pytest.raises(RuntimeError, match="injected"):
-        _solve_chunk(
-            dataset, preferences, 25, "auto",
-            dict(_QUERY_OPTIONS, det_kernel="auto", competitors=None, dims=None),
-            injector, False, 1, tasks,
+        execute_shard(
+            ShardTask(0, 1, 0, salvage=False, tasks=tuple(tasks)),
+            dataset=dataset,
+            preferences=preferences,
+            max_exact_objects=25,
+            options=QueryOptions(method="auto", det_kernel="auto", **_QUERY_OPTIONS),
+            fault_injector=injector,
+            task_retries=0,
+            backoff=0.0,
         )
     assert injector.seen == [(index, 1) for index in range(6)]

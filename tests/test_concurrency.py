@@ -5,6 +5,9 @@ processes or corrupt the shared dominance cache."""
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -90,7 +93,7 @@ class TestCancellationCleanup:
 
     ``KeyboardInterrupt`` is *not* an ``Exception``, so the retry layer
     must let it through immediately (an operator's Ctrl-C is not a fault
-    to be healed), the executors' context managers must reap their
+    to be healed), the shard coordinator's shutdown must reap its
     workers, and a :class:`DominanceCache` that was mid-use must remain
     valid for the next batch.
     """
@@ -99,8 +102,7 @@ class TestCancellationCleanup:
         dataset = block_zipf_dataset(n, 3, seed=60)
         return SkylineProbabilityEngine(dataset, HashedPreferenceModel(3, seed=61))
 
-    @pytest.mark.parametrize("workers,executor", [(1, "auto"), (3, "thread")])
-    def test_keyboard_interrupt_propagates_immediately(self, workers, executor):
+    def test_keyboard_interrupt_propagates_immediately(self):
         # poison an object mid-batch with KeyboardInterrupt: no retry,
         # no salvage — the interrupt surfaces to the caller
         interrupt = FaultInjector(
@@ -110,9 +112,7 @@ class TestCancellationCleanup:
             batch_skyline_probabilities(
                 self._fresh(),
                 method="det+",
-                workers=workers,
                 chunk_size=2,
-                executor=executor,
                 fault_injector=interrupt,
                 max_retries=5,  # must NOT apply to an interrupt
             )
@@ -128,9 +128,8 @@ class TestCancellationCleanup:
                 engine,
                 method="det+",
                 cache=cache,
-                workers=3,
+                workers=1,
                 chunk_size=1,
-                executor="thread",
                 fault_injector=FaultInjector(
                     seed=0, poison={5}, exception=KeyboardInterrupt
                 ),
@@ -141,37 +140,16 @@ class TestCancellationCleanup:
         assert list(resumed.probabilities) == list(reference)
         assert resumed.failures == ()
 
-    def test_interrupted_batch_leaves_no_threads_mid_task(self):
-        import threading
-
-        before = threading.active_count()
-        with pytest.raises(KeyboardInterrupt):
-            batch_skyline_probabilities(
-                self._fresh(),
-                method="det+",
-                workers=4,
-                chunk_size=1,
-                executor="thread",
-                fault_injector=FaultInjector(
-                    seed=0, poison={0}, exception=KeyboardInterrupt
-                ),
-            )
-        deadline = time.monotonic() + 5.0
-        while threading.active_count() > before and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert threading.active_count() <= before
-
     @pytest.mark.slow
     def test_broken_process_pool_leaves_no_workers(self):
-        # hard-killed workers (os._exit) break the pool; after recovery
-        # the executor's context manager must have reaped every child
+        # hard-killed workers (os._exit) are respawned and their shards
+        # re-dispatched; the coordinator's shutdown reaps every child
         result = batch_skyline_probabilities(
             self._fresh(),
             method="sam",
             samples=40,
             seed=3,
             workers=2,
-            executor="process",
             fault_injector=FaultInjector(seed=3, crash_rate=1.0, kind="exit"),
             backoff=0.001,
         )
@@ -179,20 +157,31 @@ class TestCancellationCleanup:
         assert _lingering_children() == []
 
     @pytest.mark.slow
-    def test_interrupt_crossing_a_process_boundary_cleans_up(self):
-        # KeyboardInterrupt raised inside a pool worker: it crosses the
-        # process boundary, is not retried, and the pool is reaped
-        with pytest.raises(KeyboardInterrupt):
-            batch_skyline_probabilities(
-                self._fresh(),
-                method="sam",
-                samples=40,
-                seed=3,
-                workers=2,
-                executor="process",
-                on_error="raise",
-                fault_injector=FaultInjector(
-                    seed=0, poison={2}, exception=KeyboardInterrupt
-                ),
-            )
+    def test_interrupt_crossing_a_process_boundary_cleans_up(self, monkeypatch):
+        # Ctrl-C reaches the calling process while a worker sleeps in a
+        # shard that stalls on every dispatch: the interrupt surfaces at
+        # once, and the coordinator's shutdown kills the busy worker
+        # instead of waiting for its shard
+        import repro.core.batch as batch_module
+
+        monkeypatch.setattr(batch_module, "_effective_cores", lambda: 2)
+        stalled = FaultInjector(
+            seed=0, stall_indices={2}, stall_attempts=10**6, stall_seconds=20.0
+        )
+        ctrl_c = threading.Timer(0.5, os.kill, (os.getpid(), signal.SIGINT))
+        started = time.monotonic()
+        ctrl_c.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                batch_skyline_probabilities(
+                    self._fresh(),
+                    method="sam",
+                    samples=40,
+                    seed=3,
+                    workers=2,
+                    fault_injector=stalled,
+                )
+        finally:
+            ctrl_c.cancel()
+        assert time.monotonic() - started < 5.0
         assert _lingering_children() == []

@@ -157,10 +157,6 @@ class TestPolicyValidation:
         with pytest.raises(RobustnessPolicyError, match="on_error"):
             batch_skyline_probabilities(_engine(), on_error="ignore")
 
-    def test_bad_executor_in_batch(self):
-        with pytest.raises(RobustnessPolicyError, match="executor"):
-            batch_skyline_probabilities(_engine(), executor="gpu")
-
     def test_bad_fault_injector_in_batch(self):
         with pytest.raises(RobustnessPolicyError, match="before_task"):
             batch_skyline_probabilities(_engine(), fault_injector=object())
@@ -196,7 +192,6 @@ class TestBatchDegradation:
         result = batch_skyline_probabilities(
             _engine("zipf"), method="det+", deadline=EXPIRED,
             samples=60, seed=23, workers=workers, chunk_size=chunk_size,
-            executor="thread",
         )
         assert result.probabilities == baseline.probabilities
 

@@ -10,6 +10,10 @@ timeout of its own.
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.process
+import time
+
 import pytest
 
 import repro.obs as obs
@@ -183,6 +187,74 @@ class TestStalls:
         assert result.supervision.stalls >= 1
         assert result.supervision.respawns >= 1
         assert result.supervision.hedges == 0
+
+
+class TestShutdown:
+    """Tearing the pool down at the end of a run, busy workers included."""
+
+    #: Object 3's first dispatch sleeps far past the run; its hedge twin
+    #: finishes the shard, so the run ends with that worker still busy.
+    STALLED = FaultInjector(seed=0, stall_indices={3}, stall_seconds=30.0)
+
+    def _run(self):
+        return ShardCoordinator(
+            _engine(14),
+            DistribConfig(
+                workers=2, max_shard_objects=1, run_timeout=RUN_TIMEOUT
+            ),
+        ).run(method="det+", fault_injector=self.STALLED)
+
+    def test_busy_worker_is_killed_without_waiting_out_the_grace(
+        self, monkeypatch
+    ):
+        import repro.distrib.coordinator as coordinator
+
+        spent = []
+        shutdown = coordinator._SupervisedRun._shutdown
+
+        def timed(run):
+            started = time.monotonic()
+            try:
+                shutdown(run)
+            finally:
+                spent.append(time.monotonic() - started)
+
+        monkeypatch.setattr(coordinator._SupervisedRun, "_shutdown", timed)
+        result = self._run()
+        assert result.supervision.hedges >= 1
+        # the idle worker exits on MSG_STOP in milliseconds; only a join
+        # on the busy one would wait out the whole 0.5 s grace
+        assert spent[0] < 0.4
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_during_shutdown_still_kills_every_worker(
+        self, monkeypatch
+    ):
+        import repro.distrib.coordinator as coordinator
+
+        join = multiprocessing.process.BaseProcess.join
+        shutdown = coordinator._SupervisedRun._shutdown
+        interrupted = []
+
+        def interrupting_join(process, timeout=None):
+            if not interrupted:
+                interrupted.append(process.name)
+                raise KeyboardInterrupt
+            return join(process, timeout)
+
+        def interrupted_shutdown(run):
+            monkeypatch.setattr(
+                multiprocessing.process.BaseProcess, "join", interrupting_join
+            )
+            shutdown(run)
+
+        monkeypatch.setattr(
+            coordinator._SupervisedRun, "_shutdown", interrupted_shutdown
+        )
+        with pytest.raises(KeyboardInterrupt):
+            self._run()
+        assert interrupted
+        assert multiprocessing.active_children() == []
 
 
 class TestObservability:

@@ -1,13 +1,14 @@
 """Chaos suite: deterministic fault injection against the batch planner.
 
-Contract under test (ISSUE: fault-tolerance tentpole, parts 2–3): worker
-failures — raised faults, hard process kills, pickling failures — are
-retried with capped exponential backoff and fall back from the process
-pool to the in-process path; objects that fail permanently are salvaged
-into structured :class:`BatchFailure` records; and, throughout, every
-*surviving* object's answer is bit-identical to a fault-free run (the
-injector fires before any randomness is consumed, so retries replay the
-exact same sampled stream).
+Contract under test: worker failures — raised faults and hard process
+kills — are retried with capped exponential backoff, per task in the
+chunk runner and per shard on the coordinator's worker processes
+(``workers > 1``); objects that fail permanently are salvaged into
+structured :class:`BatchFailure` records; an unpicklable preference
+model still runs on workers; and, throughout, every *surviving*
+object's answer is bit-identical to a fault-free run (the injector
+fires before any randomness is consumed, so retries replay the exact
+same sampled stream).
 
 All chaos here is driven by :class:`repro.robustness.FaultInjector`,
 whose decisions are a pure function of ``(seed, index, attempt)`` — the
@@ -141,7 +142,6 @@ class TestRetryRecovery:
             seed=31,
             workers=3,
             chunk_size=2,
-            executor="thread",
             fault_injector=FaultInjector(seed=4, crash_rate=0.5),
             backoff=FAST,
         )
@@ -252,7 +252,6 @@ class TestSalvage:
             samples=60,
             seed=43,
             workers=2,
-            executor="thread",
             fault_injector=FaultInjector(
                 seed=6,
                 crash_rate=0.4,
@@ -273,10 +272,16 @@ class TestSalvage:
 
 @pytest.mark.slow
 class TestProcessPoolChaos:
-    """The harshest failures: dead workers and broken pools (real
-    ``ProcessPoolExecutor``, forced past the single-core gate)."""
+    """The harshest failures: dead workers (the coordinator's worker
+    processes, forced past the single-core gate)."""
 
     OPTIONS = dict(method="sam", samples=60, seed=13)
+
+    @pytest.fixture(autouse=True)
+    def _many_cores(self, monkeypatch):
+        import repro.core.batch as batch_module
+
+        monkeypatch.setattr(batch_module, "_effective_cores", lambda: 2)
 
     def test_raised_worker_faults_recover_in_process(self):
         clean = _clean("zipf", **self.OPTIONS)
@@ -284,7 +289,6 @@ class TestProcessPoolChaos:
             _engine("zipf"),
             workers=2,
             chunk_size=5,
-            executor="process",
             fault_injector=FaultInjector(seed=2, crash_rate=0.5),
             backoff=FAST,
             **self.OPTIONS,
@@ -293,28 +297,14 @@ class TestProcessPoolChaos:
         assert chaotic.failures == ()
         assert chaotic.retries > 0
 
-    def test_hard_killed_workers_break_the_pool_and_still_recover(self):
-        # kind="exit" calls os._exit inside the worker: the pool comes
-        # back BrokenProcessPool and every chunk re-dispatches in-process
-        clean = _clean("zipf", **self.OPTIONS)
-        chaotic = batch_skyline_probabilities(
-            _engine("zipf"),
-            workers=2,
-            chunk_size=6,
-            executor="process",
-            fault_injector=FaultInjector(seed=3, crash_rate=1.0, kind="exit"),
-            backoff=FAST,
-            **self.OPTIONS,
-        )
-        assert chaotic.probabilities == clean.probabilities
-        assert chaotic.failures == ()
-        assert chaotic.retries >= 1
-
     def test_poison_in_a_dead_pool_is_still_salvaged(self):
+        # the worker dies on every dispatch of object 4's shard, so the
+        # circuit breaker salvages that whole shard: one-object shards
+        # keep the salvage per object
         chaotic = batch_skyline_probabilities(
             _engine("zipf"),
             workers=2,
-            executor="process",
+            chunk_size=1,
             fault_injector=FaultInjector(seed=3, poison={4}, kind="exit"),
             backoff=FAST,
             **self.OPTIONS,
@@ -330,9 +320,13 @@ class TestProcessPoolChaos:
 
 
 class TestSerializationFaults:
-    """Pickling failures select (or fall back to) the thread path."""
+    """An unpicklable model still fans out: fork-started coordinator
+    workers inherit it and never pickle it."""
 
-    def test_unpicklable_model_forces_thread_fallback(self):
+    def test_unpicklable_model_forces_thread_fallback(self, monkeypatch):
+        import repro.core.batch as batch_module
+
+        monkeypatch.setattr(batch_module, "_effective_cores", lambda: 2)
         dataset = block_zipf_dataset(12, 3, seed=60)
         inner = HashedPreferenceModel(3, seed=61)
         clean = batch_skyline_probabilities(
@@ -349,7 +343,6 @@ class TestSerializationFaults:
             samples=50,
             seed=5,
             workers=2,
-            executor="process",  # forced — yet pickling must veto it
         )
         assert chaotic.probabilities == clean.probabilities
         assert chaotic.failures == ()

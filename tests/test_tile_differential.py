@@ -195,9 +195,11 @@ class TestStrictModelThroughTiles:
     def test_stopping_chunk_consults_no_failpoint_after_its_first_failure(
         self, monkeypatch
     ):
-        # A pool chunk's last attempt stops at its first failure; its
-        # targets are still tiled, planned ahead of their failpoints.
-        from repro.core.batch import _solve_chunk
+        # A shard's chunk with no retries left stops at its first
+        # failure; its targets are still tiled, planned ahead of their
+        # failpoints.
+        from repro.core.options import QueryOptions
+        from repro.distrib import ShardTask, execute_shard
 
         dataset, preferences = strict_block_zipf()
         engine = SkylineProbabilityEngine(dataset, preferences)
@@ -226,15 +228,22 @@ class TestStrictModelThroughTiles:
                 self.seen.append(index)
 
         recording = Recording()
-        options = dict(
-            epsilon=0.01, delta=0.01, samples=None, use_absorption=True,
-            use_partition=True, det_kernel="auto", deadline=None,
-            on_deadline="degrade", max_overrun=None, competitors=None, dims=None,
+        options = QueryOptions(
+            method="auto", epsilon=0.01, delta=0.01, samples=None,
+            use_absorption=True, use_partition=True, det_kernel="auto",
+            deadline=None, on_deadline="degrade", max_overrun=None,
         )
-        tasks = [(index, index, None) for index in range(len(dataset))]
+        tasks = tuple((index, index, None) for index in range(len(dataset)))
         with pytest.raises(type(expected[first])) as raised:
-            _solve_chunk(
-                dataset, preferences, 25, "auto", options, recording, False, 1, tasks
+            execute_shard(
+                ShardTask(0, 1, 0, salvage=False, tasks=tasks),
+                dataset=dataset,
+                preferences=preferences,
+                max_exact_objects=25,
+                options=options,
+                fault_injector=recording,
+                task_retries=0,
+                backoff=0.0,
             )
         assert str(raised.value) == str(expected[first])
         assert tiles
