@@ -31,10 +31,9 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.core.dominance import dominance_factors
-from repro.core.engine import SkylineProbabilityEngine
+from repro.core.engine import SkylineProbabilityEngine, _check_count
 from repro.core.objects import Dataset, Value
 from repro.core.preferences import PreferenceModel
-from repro.errors import ReproError
 
 __all__ = ["skyline_probability_bounds", "TopKResult", "top_k_pruned"]
 
@@ -110,8 +109,7 @@ def top_k_pruned(
     :meth:`SkylineProbabilityEngine.top_k` (sampling methods rank within
     their ε).
     """
-    if k <= 0:
-        raise ReproError(f"k must be positive, got {k!r}")
+    _check_count("k", k, minimum=1)
     if engine is None:
         engine = SkylineProbabilityEngine(dataset, preferences)
     bounds: List[Tuple[float, float, int]] = []

@@ -183,8 +183,8 @@ def top_k_shared_worlds(
     index tie-breaking.  The same world stream serves every object, so a
     ranking over n objects costs one sampling run instead of n.
     """
-    if k <= 0:
-        raise EstimationError(f"k must be positive, got {k!r}")
+    if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
+        raise EstimationError(f"k must be a positive integer, got {k!r}")
     estimate = estimate_all_skyline_probabilities(
         preferences, dataset, samples=samples, seed=seed
     )

@@ -91,6 +91,14 @@ from repro.distrib.worker import worker_main
 
 __all__ = ["DistribConfig", "DistribResult", "ShardCoordinator", "ShardOutcome"]
 
+#: Seconds the supervision loop waits on worker pipes between its checks.
+_POLL_INTERVAL = 0.02
+#: Completed shards needed before their p95 duration is trusted for hedging.
+_HEDGE_MIN_COMPLETIONS = 3
+#: Seconds below which a shard never hedges, so microsecond shards do not
+#: hedge on scheduler noise.
+_HEDGE_FLOOR = 0.05
+
 
 def _is_finite(value: object) -> bool:
     """``value`` is a real number other than NaN and the infinities."""
@@ -113,15 +121,14 @@ class DistribConfig:
     most one per 10 ms).
     ``hedge_multiplier`` scales the p95 of completed shard durations
     into the speculative re-dispatch threshold (``None`` disables
-    hedging; ``hedge_floor`` keeps microsecond shards from hedging on
-    scheduler noise;
-    ``hedge_min_completions`` completions are required before the p95
-    is trusted).  ``max_shard_retries`` bounds shard re-dispatches
-    (the circuit breaker), ``task_retries`` the planner-style in-worker
-    per-object retries, ``backoff`` the capped exponential delay base
-    for both.  ``checkpoint`` enables the durable shard log;
-    ``resume=False`` overwrites an existing checkpoint instead of
-    resuming from it.  ``run_timeout`` hard-bounds the whole run
+    hedging; three completions are required before the p95 is trusted,
+    and a threshold never falls below 0.05 s, so microsecond shards do
+    not hedge on scheduler noise).  ``max_shard_retries`` bounds shard
+    re-dispatches (the circuit breaker), ``task_retries`` the
+    planner-style in-worker per-object retries, ``backoff`` the capped
+    exponential delay base for both.  ``checkpoint`` enables the durable
+    shard log; ``resume=False`` overwrites an existing checkpoint instead
+    of resuming from it.  ``run_timeout`` hard-bounds the whole run
     (raises :class:`~repro.errors.DistribError`), which CI uses to keep
     chaos suites from ever wedging.  Workers start with ``fork`` when
     the platform offers it (the model then never crosses a pipe, so an
@@ -133,8 +140,6 @@ class DistribConfig:
     max_shard_objects: Optional[int] = None
     stall_timeout: float = 10.0
     hedge_multiplier: Optional[float] = 3.0
-    hedge_min_completions: int = 3
-    hedge_floor: float = 0.05
     max_shard_retries: int = 2
     task_retries: int = 2
     backoff: float = 0.05
@@ -142,7 +147,6 @@ class DistribConfig:
     checkpoint: Optional[str] = None
     resume: bool = True
     run_timeout: Optional[float] = None
-    poll_interval: float = 0.02
 
 
 @dataclass(frozen=True)
@@ -283,7 +287,6 @@ class ShardCoordinator:
         # reap every busy worker at each poll.
         for name, optional in (
             ("stall_timeout", False),
-            ("poll_interval", False),
             ("run_timeout", True),
             ("hedge_multiplier", True),
         ):
@@ -295,12 +298,7 @@ class ShardCoordinator:
                     f"{name} must be a positive, finite number"
                     f"{' or None' if optional else ''}, got {value!r}"
                 )
-        if not _is_finite(config.hedge_floor) or config.hedge_floor < 0:
-            raise RobustnessPolicyError(
-                f"hedge_floor must be a non-negative, finite number, got "
-                f"{config.hedge_floor!r}"
-            )
-        for name in ("max_shard_retries", "task_retries", "hedge_min_completions"):
+        for name in ("max_shard_retries", "task_retries"):
             value = getattr(config, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise RobustnessPolicyError(
@@ -699,11 +697,11 @@ class _SupervisedRun:
         config = self._config
         if config.hedge_multiplier is None:
             return None
-        if len(self._durations) < config.hedge_min_completions:
+        if len(self._durations) < _HEDGE_MIN_COMPLETIONS:
             return None
         ordered = sorted(self._durations)
         rank = max(0, -(-len(ordered) * 95 // 100) - 1)
-        return max(config.hedge_floor, config.hedge_multiplier * ordered[rank])
+        return max(_HEDGE_FLOOR, config.hedge_multiplier * ordered[rank])
 
     def _maybe_hedge(self, now: float) -> None:
         threshold = self._hedge_threshold()
@@ -946,7 +944,7 @@ class _SupervisedRun:
                     if not handle.dead
                 }
                 ready = mp_connection.wait(
-                    list(by_conn), timeout=config.poll_interval
+                    list(by_conn), timeout=_POLL_INTERVAL
                 )
                 now = time.monotonic()
                 for conn in ready:

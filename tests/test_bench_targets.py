@@ -1,12 +1,8 @@
 """Tests for the experiment harness's target-selection helpers and the
-importability/smoke behaviour of the benchmark suite additions."""
+quick-scale rows of the parallel_batch and robustness_overhead
+experiments."""
 
 from __future__ import annotations
-
-import importlib.util
-from pathlib import Path
-
-import pytest
 
 from repro.bench.experiments import _interesting_targets, _pick_targets
 from repro.bench.harness import get_experiment
@@ -65,28 +61,7 @@ class TestInterestingTargets:
         assert len(_interesting_targets(engine, 5, seed=11)) == 5
 
 
-def _load_benchmark_module(name):
-    """Import a bench_* file by path (benchmarks/ is not a package)."""
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestParallelBatchBenchmark:
-    def test_benchmark_module_importable(self):
-        module = _load_benchmark_module("bench_parallel_batch")
-        assert callable(module.serial_seed_loop)
-        assert callable(module.batch_with_cache)
-
-    def test_helpers_agree_on_tiny_workload(self):
-        module = _load_benchmark_module("bench_parallel_batch")
-        dataset, preferences = module.make_workload(n=12, d=3)
-        serial = module.serial_seed_loop(dataset, preferences)
-        assert module.batch_with_cache(dataset, preferences) == serial
-        assert module.batch_with_cache(dataset, preferences, workers=2) == serial
-
     def test_experiment_registered_and_smoke_runs(self):
         experiment = get_experiment("parallel_batch")
         (table,) = experiment.run("quick")
@@ -102,21 +77,6 @@ class TestParallelBatchBenchmark:
 
 
 class TestRobustnessOverheadBenchmark:
-    def test_benchmark_module_importable(self):
-        module = _load_benchmark_module("bench_robustness_overhead")
-        assert callable(module.planner_loop)
-        assert callable(module.robust_batch)
-
-    def test_helpers_agree_on_tiny_workload(self):
-        module = _load_benchmark_module("bench_robustness_overhead")
-        dataset, preferences = module.make_workload(n=12, d=3)
-        baseline = module.planner_loop(dataset, preferences)
-        assert module.robust_batch(dataset, preferences) == baseline
-        assert (
-            module.robust_batch(dataset, preferences, deadline=3600.0)
-            == baseline
-        )
-
     def test_experiment_registered_and_smoke_runs(self):
         experiment = get_experiment("robustness_overhead")
         (table,) = experiment.run("quick")

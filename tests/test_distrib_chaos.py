@@ -149,8 +149,6 @@ class TestStalls:
                 workers=2,
                 stall_timeout=300.0,
                 hedge_multiplier=2.0,
-                hedge_min_completions=2,
-                hedge_floor=0.05,
                 backoff=0.001,
                 run_timeout=RUN_TIMEOUT,
             ),

@@ -288,7 +288,6 @@ class TestValidation:
             {"workers": True},
             {"on_error": "ignore"},
             {"stall_timeout": 0.0},
-            {"poll_interval": -1.0},
             {"max_shard_retries": -1},
             {"task_retries": 1.5},
             {"backoff": -0.1},
@@ -307,16 +306,8 @@ class TestValidation:
             {"backoff": float("nan")},
             {"stall_timeout": float("nan")},
             {"stall_timeout": float("inf")},
-            {"poll_interval": float("nan")},
-            {"poll_interval": float("inf")},
             {"hedge_multiplier": float("nan")},
             {"run_timeout": float("nan")},
-            {"hedge_floor": -1.0},
-            {"hedge_floor": "x"},
-            {"hedge_floor": float("nan")},
-            {"hedge_min_completions": -3},
-            {"hedge_min_completions": True},
-            {"hedge_min_completions": 2.5},
         ],
     )
     def test_non_finite_and_unchecked_fields_are_rejected(
@@ -359,13 +350,10 @@ BAD_CONFIG_FIELDS = {
     "workers": 0,
     "on_error": "ignore",
     "stall_timeout": float("nan"),
-    "poll_interval": float("inf"),
     "run_timeout": 0.0,
     "hedge_multiplier": float("nan"),
-    "hedge_floor": -1.0,
     "max_shard_retries": -1,
     "task_retries": 1.5,
-    "hedge_min_completions": True,
     "backoff": float("nan"),
 }
 

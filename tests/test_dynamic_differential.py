@@ -52,15 +52,18 @@ _PAIRS = [(f, b) for f in _GRID for b in _GRID if f + b <= 1.0]
 _objects = st.tuples(
     *[st.sampled_from(_UNIVERSE[j]) for j in range(_D)]
 )
-#: One edit made directly on the model: ``(dimension, x, offset, probs)``
-#: sets the pair of values ``x`` and ``x + offset``, or deletes it when
-#: ``probs`` is None.
+#: One edit made directly on the model: ``(dimension, x, offset, probs,
+#: held)`` sets the pair of values ``x`` and ``x + offset``, or deletes it
+#: when ``probs`` is None. With ``held`` the values are those the current
+#: objects hold on that dimension, when they hold two or more, so a view
+#: reads the pair; otherwise they are the dimension's whole universe.
 _direct_edits = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=_D - 1),
         st.integers(min_value=0, max_value=2),
         st.integers(min_value=1, max_value=2),
         st.one_of(st.none(), st.sampled_from(_PAIRS)),
+        st.booleans(),
     ),
     min_size=1,
     max_size=3,
@@ -181,9 +184,15 @@ class DynamicEditMachine(RuleBasedStateMachine):
 
     @rule(
         edits=_direct_edits,
-        then=st.sampled_from(
-            ["nothing", "view", "skyline", "top_k", "grid", "update", "insert",
-             "remove", "save_load"]
+        # A read that skips its catch-up shows only when it comes first
+        # after the edit; half the draws make that read one of the
+        # maintained view's own, the rest a memo or planner read or an edit.
+        then=st.one_of(
+            st.sampled_from(["nothing", "view", "probabilities", "index"]),
+            st.sampled_from(
+                ["restricted", "skyline", "top_k", "grid", "update", "insert",
+                 "remove", "save_load"]
+            ),
         ),
         raw=st.integers(min_value=0, max_value=10**6),
     )
@@ -191,15 +200,29 @@ class DynamicEditMachine(RuleBasedStateMachine):
         # Code that does not own the engine edits its model; the next
         # read or edit, whichever it is, must catch up first.
         model = self.engine.preferences
-        for dimension, x, offset, probs in edits:
-            a = _UNIVERSE[dimension][x]
-            b = _UNIVERSE[dimension][(x + offset) % 3]
+        for dimension, x, offset, probs, held in edits:
+            values = _UNIVERSE[dimension]
+            present = sorted({obj[dimension] for obj in self.objects})
+            if held and len(present) > 1:
+                values = present
+            # ``offset`` steps on, cyclically, but never back to ``x``.
+            x %= len(values)
+            a = values[x]
+            b = values[(x + 1 + (offset - 1) % (len(values) - 1)) % len(values)]
             if probs is None:
                 model.delete_preference(dimension, a, b)
             else:
                 model.set_preference(dimension, a, b, *probs)
         if then == "view":
             self.read_view(raw)
+        elif then == "probabilities":
+            self.view_matches_fresh_rebuild()
+        elif then == "index":
+            self.query_index_matches_view(raw)
+        elif then == "restricted":
+            self.query_restricted_matches_fresh_rebuild(
+                raw, raw // 7, 1 + raw % (2**_D - 1), raw % 2 == 0, raw % 3 == 0
+            )
         elif then == "skyline":
             self.read_probabilistic_skyline(raw)
         elif then == "top_k":
@@ -348,8 +371,8 @@ TestDynamicEditMachine.settings = settings(
     # the read rules fail at distinct lines, each failure is shrunk, and
     # a failing run then grew past a gigabyte over minutes.
     phases=[phase for phase in Phase if phase is not Phase.explain],
-    max_examples=80,
-    stateful_step_count=8,
+    max_examples=100,
+    stateful_step_count=16,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )

@@ -71,6 +71,25 @@ class TestBlockZipfWorkflow:
             assert auto.probability == pytest.approx(detplus.probability)
             assert auto.exact
 
+    def test_sam_error_at_paper_sample_size(self):
+        # Figure 11's claim: m = 3000 samples already stay within the
+        # paper's epsilon = 0.01 on average
+        dataset = block_zipf_dataset(200, 5, seed=5)
+        engine = SkylineProbabilityEngine(
+            dataset, HashedPreferenceModel(5, seed=6)
+        )
+        exact = engine.skyline_probability(0, method="det+").probability
+        errors = [
+            abs(
+                engine.skyline_probability(
+                    0, method="sam", samples=3000, seed=seed
+                ).probability
+                - exact
+            )
+            for seed in range(5)
+        ]
+        assert sum(errors) / len(errors) <= 0.01
+
     def test_pruned_topk_on_blockzipf(self):
         dataset = block_zipf_dataset(150, 3, seed=24)
         preferences = HashedPreferenceModel(3, seed=25)
@@ -114,7 +133,10 @@ class TestNurseryWorkflow:
         engine = SkylineProbabilityEngine(dataset, preferences)
         report = engine.skyline_probability(0, method="auto")
         assert report.exact
+        # absorption leaves sum(|domain| - 1) = 19 single-difference
+        # competitors, each its own Theorem-4 component
         assert report.preprocessing.kept_count == 19
+        assert report.preprocessing.largest_partition == 1
 
     def test_sampler_agrees_on_nursery(self):
         dims = [0, 1]

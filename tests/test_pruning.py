@@ -99,9 +99,11 @@ class TestTopKPruned:
         assert len(result.ranking) == 2
 
     def test_invalid_k(self, observation):
+        # the values engine.top_k refuses; True once ranked one object
         dataset, preferences = observation
-        with pytest.raises(ReproError):
-            top_k_pruned(dataset, preferences, 0)
+        for k in (0, -1, 2.5, "3", True):
+            with pytest.raises(ReproError, match="k must be"):
+                top_k_pruned(dataset, preferences, k)
 
     def test_observation_example_order(self, observation):
         dataset, preferences = observation

@@ -108,6 +108,46 @@ class TestRoutes:
 
         _serve(check)
 
+    def test_concurrent_burst_coalesces_and_serial_queries_do_not(self):
+        # Eight clients send one seeded Sam query each: fired together
+        # they share batches; sent one after another with no window,
+        # every query is a batch of one, with the same answers.
+        def burst(window, concurrent):
+            async def body():
+                server = SkylineServer(
+                    _engine(), ServeConfig(port=0, window=window, observe=False)
+                )
+                await server.start()
+                clients = [ServeClient("127.0.0.1", server.port) for _ in range(8)]
+                try:
+                    for client in clients:
+                        await client.connect()
+                    queries = [
+                        client.query(
+                            index % 6, seed=600 + index, method="sam", samples=200
+                        )
+                        for index, client in enumerate(clients)
+                    ]
+                    if concurrent:
+                        return await asyncio.gather(*queries)
+                    return [await query for query in queries]
+                finally:
+                    for client in clients:
+                        await client.close()
+                    await server.drain()
+
+            return asyncio.run(body())
+
+        coalesced = burst(0.05, concurrent=True)
+        assert all(response.status == 200 for response in coalesced)
+        assert any(response.data["coalesced"] for response in coalesced)
+        serial = burst(0.0, concurrent=False)
+        assert all(response.status == 200 for response in serial)
+        assert all(response.data["batch_size"] == 1 for response in serial)
+        assert [response.data["probability"] for response in serial] == [
+            response.data["probability"] for response in coalesced
+        ]
+
     def test_edit_insert_then_duplicate_conflict(self):
         async def check(server, client):
             inserted = await client.edit(

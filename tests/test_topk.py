@@ -150,6 +150,8 @@ class TestTopKSharedWorlds:
         assert len(top_k_shared_worlds(preferences, dataset, 2, samples=200)) == 2
 
     def test_invalid_k(self, observation):
+        # True once returned one pair, 2.5 failed inside a slice
         dataset, preferences = observation
-        with pytest.raises(EstimationError):
-            top_k_shared_worlds(preferences, dataset, 0)
+        for k in (0, -1, 2.5, "3", True):
+            with pytest.raises(EstimationError, match="k must be"):
+                top_k_shared_worlds(preferences, dataset, k)
