@@ -2,7 +2,8 @@
 """CI regression gate on the happy-path overhead experiments.
 
 Re-runs registered ``*_overhead`` experiments and fails (exit 1) when
-any happy-path row's overhead ratio exceeds the threshold — the
+any happy-path row's overhead ratio, in any ``overhead*`` column,
+exceeds the threshold — the
 robustness and supervision layers promise to cost under 5% when nothing
 fails, and this gate keeps the promise from rotting.  Rows whose
 configuration legitimately pays more (an armed deadline routes exact
@@ -12,7 +13,8 @@ A single-core CI runner shows ±5-10% run-to-run noise, so a breach is
 retried up to ``--attempts`` times and only a *persistent* breach fails
 the gate; the experiments themselves already take the best of several
 repeats per cell.  Any row that is not bit-identical to its baseline
-fails immediately — noise can explain a slow run, never a wrong answer.
+(``False`` in any ``identical*`` column) fails immediately — noise can
+explain a slow run, never a wrong answer.
 
 Usage::
 
@@ -35,33 +37,36 @@ EXEMPT_LABELS = ("deadline", "baseline")
 
 
 def _gate_tables(tables, threshold: float) -> list[str]:
-    """Breach messages for one experiment run (empty = gate passed)."""
+    """Breach messages for one experiment run (empty = gate passed).
+
+    Every ``overhead*`` column of a table is held to the threshold and
+    every ``identical*`` column must read True wherever it has a value.
+    """
     breaches: list[str] = []
     for table in tables:
-        overhead_columns = [
-            column
-            for column in table.columns
-            if str(column).startswith("overhead")
-        ]
-        if not overhead_columns:
-            continue
-        overhead_column = overhead_columns[0]
+        columns = [str(column) for column in table.columns]
+        overhead_columns = [c for c in columns if c.startswith("overhead")]
+        identical_columns = [c for c in columns if c.startswith("identical")]
         label_column = table.columns[0]
         for row in table.rows:
             label = str(row.get(label_column, ""))
-            if "identical" in table.columns and row.get("identical") is False:
-                breaches.append(
-                    f"{table.experiment_id}: {label!r} is not bit-identical"
-                )
+            wrong = [c for c in identical_columns if row.get(c) is False]
+            if wrong:
+                breaches += [
+                    f"{table.experiment_id}: {label!r} is not bit-identical "
+                    f"({column})"
+                    for column in wrong
+                ]
                 continue
             if any(exempt in label.lower() for exempt in EXEMPT_LABELS):
                 continue
-            ratio = row.get(overhead_column)
-            if isinstance(ratio, (int, float)) and ratio > threshold:
-                breaches.append(
-                    f"{table.experiment_id}: {label!r} overhead "
-                    f"{ratio:.3f} > {threshold:.2f}"
-                )
+            for column in overhead_columns:
+                ratio = row.get(column)
+                if isinstance(ratio, (int, float)) and ratio > threshold:
+                    breaches.append(
+                        f"{table.experiment_id}: {label!r} {column} "
+                        f"{ratio:.3f} > {threshold:.2f}"
+                    )
     return breaches
 
 

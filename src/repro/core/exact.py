@@ -33,6 +33,8 @@ approximation "A2" (Figure 6) and give certified bounds.
 
 from __future__ import annotations
 
+import functools
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
@@ -94,6 +96,16 @@ VEC_CROSSOVER = 8
 #: Beyond it "vec" refuses rather than thrash and "auto" stays on "fast",
 #: which streams the lattice in O(n) memory.
 VEC_MAX_OBJECTS = 26
+
+#: Fewest small components of one key structure that :func:`_solve`
+#: evaluates in one lockstep call (``det_shared_lockstep_rows``) rather
+#: than one ``"fast"`` call each.  The lockstep table of
+#: ``results/ablation_vec_kernel.md`` (one lockstep call, compiling
+#: included, against a fast call per component; uniform d=5 and
+#: block-zipf d=4, 1-7 dominators) has lockstep at 0.57-0.78 of fast
+#: per component at 8 rows and 1-4 dominators, and at 0.21-0.40 at 5-7;
+#: at 4 rows it is 1.06-1.28x slower at 1-2 dominators.
+_LOCKSTEP_MIN_ROWS = 8
 
 #: Inclusion-exclusion terms between wall-clock deadline checks.  A
 #: bitmask interval keeps the per-term cost of an armed deadline to one
@@ -351,13 +363,21 @@ def _solve(
     (which checks it every 1024 terms), while ``"vec"`` checks it
     natively between doubling levels.
 
-    Recursive-kernel components are solved one at a time, as they come.
-    ``"vec"`` components are grouped by key structure and each group is
-    evaluated in one :func:`~repro.core.exact_vec.det_shared_vec_rows`
-    call, whose rows are bit-identical to lone evaluations.  Each solve
-    is one ``exact`` obs stage.  ``progress`` is called before each
-    solve — with the component's position, or ``None`` before a group —
-    and what it raises propagates (it drives a supervisor's heartbeat).
+    Components routed to ``"fast"`` below ``VEC_CROSSOVER`` dominators
+    (no ``max_terms``, no armed deadline, sharing on) are grouped by key
+    structure: a group of at least :data:`_LOCKSTEP_MIN_ROWS` is
+    evaluated in one
+    :func:`~repro.core.exact_vec.det_shared_lockstep_rows` call, whose
+    rows equal ``"fast"``'s results bit for bit, and a smaller one is
+    solved by ``"fast"``, one component at a time, in component order.
+    ``"vec"`` components are grouped by key structure too, and each
+    group is evaluated in one
+    :func:`~repro.core.exact_vec.det_shared_vec_rows` call, whose rows
+    are bit-identical to lone evaluations.  Every other component is
+    solved alone, as it comes.  Each solve is one ``exact`` obs stage.
+    ``progress`` is called before each solve — with the component's
+    position, or ``None`` before a group — and what it raises
+    propagates (it drives a supervisor's heartbeat).
     A component that fails — a guard, an expired deadline — yields its
     exception in place of a result and fails nothing else; the obs
     counters are recorded per solved component.  The engine's exact
@@ -370,6 +390,7 @@ def _solve(
         )
     outcomes: List[ExactResult | Exception | None] = []
     groups: Dict[Structure, List[Tuple[int, Tuple[float, ...]]]] = {}
+    small: Dict[Structure, List[Tuple[int, Component]]] = {}
     for component in components:
         position = len(outcomes)
         outcomes.append(None)
@@ -403,52 +424,104 @@ def _solve(
             routed = "vec" if VEC_CROSSOVER <= n <= VEC_MAX_OBJECTS else "fast"
         else:
             routed = kernel
-        if routed == "vec" and max_terms is None and share_computation:
-            groups.setdefault(component.structure, []).append(
-                (position, component.row)
-            )
-            continue
-        if progress is not None:
-            progress(position)
-        try:
-            with obs.stage("exact"):
-                if not share_computation:
-                    result = _det_without_sharing(component, max_terms, deadline_at)
-                elif (
-                    routed != "fast"
-                    or max_terms is not None
-                    or deadline_at is not None
-                ):
-                    result = _det_shared_reference(
-                        component, max_terms, deadline_at
-                    )
-                else:
-                    result = _det_shared_fast(component)
-        except Exception as error:
-            outcomes[position] = error
-            continue
-        outcomes[position] = result
-        _record_exact(result)
-    if groups:
+        if max_terms is None and share_computation:
+            if routed == "vec":
+                groups.setdefault(component.structure, []).append(
+                    (position, component.row)
+                )
+                continue
+            if routed == "fast" and deadline_at is None and n < VEC_CROSSOVER:
+                small.setdefault(component.structure, []).append(
+                    (position, component)
+                )
+                continue
+        if not share_computation:
+            solve, limits = _det_without_sharing, (max_terms, deadline_at)
+        elif routed != "fast" or max_terms is not None or deadline_at is not None:
+            solve, limits = _det_shared_reference, (max_terms, deadline_at)
+        else:
+            solve, limits = _det_shared_fast, ()
+        _solve_alone(outcomes, position, progress, solve, component, *limits)
+    # A structure with too few small components for one lockstep call
+    # leaves them to "fast", solved alone in component order.
+    lone: List[Tuple[int, Component]] = []
+    lockstep: Dict[Structure, List[Tuple[int, Tuple[float, ...]]]] = {}
+    for structure, members in small.items():
+        if len(members) < _LOCKSTEP_MIN_ROWS:
+            lone += members
+        else:
+            lockstep[structure] = [(p, component.row) for p, component in members]
+    lone.sort(key=operator.itemgetter(0))
+    for position, component in lone:
+        _solve_alone(outcomes, position, progress, _det_shared_fast, component)
+    if lockstep or groups:
         # Imported lazily: exact_vec imports this module for the shared
         # helpers, so a top-level import would be circular.
-        from repro.core.exact_vec import det_shared_vec_rows
+        from repro.core.exact_vec import (
+            det_shared_lockstep_rows,
+            det_shared_vec_rows,
+        )
 
+        for structure, members in lockstep.items():
+            _solve_group(
+                outcomes, members, progress,
+                functools.partial(det_shared_lockstep_rows, structure),
+            )
         for structure, members in groups.items():
-            if progress is not None:
-                progress(None)
-            try:
-                with obs.stage("exact"):
-                    results = det_shared_vec_rows(
-                        structure, [row for _, row in members], deadline_at
-                    )
-            except Exception as error:
-                results = [error] * len(members)
-            for (position, _), result in zip(members, results):
-                outcomes[position] = result
-                if isinstance(result, ExactResult):
-                    _record_exact(result)
+            _solve_group(
+                outcomes, members, progress,
+                functools.partial(
+                    det_shared_vec_rows, structure, deadline_at=deadline_at
+                ),
+            )
     return outcomes
+
+
+def _solve_alone(
+    outcomes: List[ExactResult | Exception | None],
+    position: int,
+    progress: Callable[[int | None], None] | None,
+    kernel: Callable[..., ExactResult],
+    *arguments: object,
+) -> None:
+    """One component's solve, announced by its position: one ``exact``
+    obs stage whose result (or error) becomes its outcome."""
+    if progress is not None:
+        progress(position)
+    try:
+        with obs.stage("exact"):
+            result = kernel(*arguments)
+    except Exception as error:
+        outcomes[position] = error
+        return
+    outcomes[position] = result
+    _record_exact(result)
+
+
+def _solve_group(
+    outcomes: List[ExactResult | Exception | None],
+    members: List[Tuple[int, Tuple[float, ...]]],
+    progress: Callable[[int | None], None] | None,
+    evaluate: Callable[[List[Tuple[float, ...]]], List[ExactResult]],
+) -> None:
+    """One grouped solve, announced by ``None``: ``evaluate`` maps the
+    members' rows to their results in one ``exact`` obs stage, and an
+    error it raises becomes every member's outcome."""
+    if progress is not None:
+        progress(None)
+    try:
+        with obs.stage("exact"):
+            results: List[ExactResult | Exception] = evaluate(
+                [row for _, row in members]
+            )
+    except Exception as error:
+        results = [error] * len(members)
+    for (position, _), result in zip(members, results):
+        outcomes[position] = result
+    if obs.is_enabled():
+        for result in results:
+            if isinstance(result, ExactResult):
+                _record_exact(result)
 
 
 def _record_exact(result: ExactResult) -> None:

@@ -80,6 +80,31 @@ kernels within 1e-12 — relative, or absolute when inclusion-exclusion
 cancellation leaves ``sky`` much smaller than the summed terms, where
 relative error is amplified for every summation order; see
 ``tests/test_numerics_vec.py`` for the pinned equality classes.
+
+Small components in lockstep
+----------------------------
+Below ``VEC_CROSSOVER`` dominators the recursive ``"fast"`` walk beats
+subset doubling on one component, but an all-objects pass hands the
+dispatcher thousands of small components, most of them in a few
+structures.
+:func:`det_shared_lockstep_rows` evaluates the rows of one such
+structure *as* ``"fast"`` does, all at once.  A term's product is its
+parent's times the factors of its last object whose keys the parent
+subset does not hold, in that object's key order.  So the products are
+held by subset bitmask in a ``(2^n, rows)`` array and filled object by
+object, subset doubling again, but with ``fast``'s multiplies: the
+level of object ``t`` is a copy of its parents (the masks below
+``2^t``), then one multiply per factor of ``t``, in key order, on the
+masks that do not hold its key (every mask, or the strided view above;
+no factors are pre-multiplied into a scalar).  The signed terms are
+then gathered into ``fast``'s depth-first order and each row is summed
+by one sequential accumulate.  Every row thus performs exactly
+``fast``'s IEEE multiplies and adds, in ``fast``'s order.  The one
+difference, a zero-pruned subtree, only adds ``±0.0`` terms, which
+leave ``1 + total`` unchanged; its terms are not counted, because a
+term is visited iff its parent's product is positive.  So each result
+equals ``_det_shared_fast``'s bit for bit, ``terms_evaluated``
+included.
 """
 
 from __future__ import annotations
@@ -100,7 +125,12 @@ from repro.core.exact import (
 )
 from repro.errors import ComputationBudgetError
 
-__all__ = ["VEC_MAX_OBJECTS", "det_shared_vec", "det_shared_vec_rows"]
+__all__ = [
+    "VEC_MAX_OBJECTS",
+    "det_shared_lockstep_rows",
+    "det_shared_vec",
+    "det_shared_vec_rows",
+]
 
 #: Most floats one slice of rows holds (2 MiB): enough rows to share the
 #: per-call cost, few enough to stay cache-resident.  A component larger
@@ -312,3 +342,127 @@ def _visited_terms(row: np.ndarray, n: int) -> int:
         np.logical_and(visited[:size], row[:size] != 0.0, out=visited[size : 2 * size])
         size *= 2
     return int(np.count_nonzero(visited)) - 1
+
+
+def det_shared_lockstep_rows(
+    structure: Structure, rows: Sequence[Sequence[float]]
+) -> List[ExactResult]:
+    """``"fast"`` on every component of one key structure, in lockstep.
+
+    Same input form as :func:`det_shared_vec_rows`; each result equals
+    ``_det_shared_fast`` on its row bit for bit (probability and both
+    counters).  The structure is compiled once per call, and rows run
+    in slices of at most :data:`SLICE_FLOATS` products and factors.
+    The dispatcher sends it the small components (fewer than
+    ``VEC_CROSSOVER`` dominators), where ``2^n`` terms per row stay few.
+    """
+    n = len(structure)
+    if n == 0:
+        return [ExactResult(1.0, 0, 0)] * len(rows)
+    program = _term_steps(structure)
+    factor_count = sum(len(ids) for ids in structure)
+    per_slice = max(1, SLICE_FLOATS // ((1 << n) + factor_count))
+    results: List[ExactResult] = []
+    for first in range(0, len(rows), per_slice):
+        results += _lockstep(program, rows[first : first + per_slice])
+    return results
+
+
+def _term_steps(structure: Structure) -> List[List[Tuple[int, tuple, tuple]]]:
+    """The structure's term program: per object, its factor steps.
+
+    Products are held by subset bitmask, so the terms whose last object
+    is ``t`` fill the masks ``2^t .. 2^(t+1) - 1`` from their parents,
+    the masks below ``2^t``.  Each factor of object ``t``, in its key
+    order, is one step ``(position, shape, index)``: it multiplies the
+    factor at ``position`` of each row into the level's masks whose
+    subset holds its key nowhere else (every mask when no earlier
+    object holds it; ``shape`` and ``index`` are then empty) — the
+    multiplies ``fast`` makes when it extends a parent subset by ``t``.
+    """
+    owners_of: dict = {}
+    program = []
+    position = 0
+    for level, ids in enumerate(structure):
+        steps = []
+        for identifier in ids:
+            owners = owners_of.get(identifier, 0)
+            if owners:
+                shape, index, _ = _uncovered_view(level, owners)
+                # Rows are the last axis here, the first in "vec"'s view.
+                steps.append((position, shape[1:] + (-1,), index[1:] + (slice(None),)))
+            else:
+                steps.append((position, (), ()))
+            position += 1
+        for identifier in ids:
+            owners_of[identifier] = owners_of.get(identifier, 0) | 1 << level
+        program.append(steps)
+    return program
+
+
+@functools.lru_cache(maxsize=32)
+def _walk_order(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, signs, parents)`` of ``fast``'s walk over ``n`` objects.
+
+    ``order`` lists the non-empty subset bitmasks in the order ``fast``
+    visits them (object ``i``, then the subtree of subsets extending it
+    by later objects, then object ``i + 1``), ``signs`` their signs as a
+    column (``-1`` for odd subsets), and ``parents[m - 1]`` the parent
+    of mask ``m``: ``m`` without its highest object.
+    """
+    order: List[int] = []
+
+    def walk(start: int, mask: int) -> None:
+        for i in range(start, n):
+            order.append(mask | 1 << i)
+            walk(i + 1, mask | 1 << i)
+
+    walk(0, 0)
+    signs = [-1.0 if bin(mask).count("1") % 2 else 1.0 for mask in order]
+    parents = [mask ^ 1 << (mask.bit_length() - 1) for mask in range(1, 1 << n)]
+    return (
+        np.array(order, dtype=np.intp),
+        np.array(signs)[:, None],
+        np.array(parents, dtype=np.intp),
+    )
+
+
+def _lockstep(
+    program: List[List[Tuple[int, tuple, tuple]]],
+    rows: Sequence[Sequence[float]],
+) -> List[ExactResult]:
+    """One slice of rows through the term program: ``fast``'s results."""
+    n = len(program)
+    factors = np.array(rows, dtype=np.float64).T.copy()
+    products = np.empty((1 << n, len(rows)), dtype=np.float64)
+    products[0] = 1.0
+    for level, steps in enumerate(program):
+        size = 1 << level
+        tail = products[size : 2 * size]
+        tail[...] = products[:size]
+        for position, shape, index in steps:
+            if shape:
+                view = tail.reshape(shape)[index]
+                np.multiply(view, factors[position], out=view)
+            else:
+                np.multiply(tail, factors[position], out=tail)
+    order, signs, parents = _walk_order(n)
+    # The signed terms in fast's order, summed as fast sums them: one
+    # sequential add per term (an accumulate never regroups).
+    signed = products[order]
+    signed *= signs
+    totals = np.add.accumulate(signed, axis=0, out=signed)[-1].tolist()
+    counts = [(1 << n) - 1] * len(rows)
+    complete = products.all(axis=0)
+    if not complete.all():
+        # fast skips the subtree below a zero product: a term is visited
+        # iff its parent's product is positive (products never grow).
+        pruned = np.flatnonzero(~complete)
+        visited = (products[:, pruned] != 0.0)[parents].sum(axis=0)
+        for column, count in zip(pruned.tolist(), visited.tolist()):
+            counts[column] = count
+    # fast's final step, _clamp_probability(1.0 + total), inlined.
+    return [
+        ExactResult(min(max(1.0 + total, 0.0), 1.0), count, n)
+        for total, count in zip(totals, counts)
+    ]

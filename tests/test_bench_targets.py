@@ -5,7 +5,6 @@ experiments."""
 from __future__ import annotations
 
 from repro.bench.experiments import _interesting_targets, _pick_targets
-from repro.bench.harness import get_experiment
 from repro.core.engine import SkylineProbabilityEngine
 from repro.data.blockzipf import block_zipf_dataset
 from repro.data.examples import running_example
@@ -62,9 +61,8 @@ class TestInterestingTargets:
 
 
 class TestParallelBatchBenchmark:
-    def test_experiment_registered_and_smoke_runs(self):
-        experiment = get_experiment("parallel_batch")
-        (table,) = experiment.run("quick")
+    def test_experiment_registered_and_smoke_runs(self, quick_run):
+        (table,) = quick_run("parallel_batch")
         rows = {row["configuration"]: row for row in table.rows}
         assert "serial loop (seed)" in rows
         # fast-kernel rows reproduce the serial answers exactly; the
@@ -77,9 +75,8 @@ class TestParallelBatchBenchmark:
 
 
 class TestRobustnessOverheadBenchmark:
-    def test_experiment_registered_and_smoke_runs(self):
-        experiment = get_experiment("robustness_overhead")
-        (table,) = experiment.run("quick")
+    def test_experiment_registered_and_smoke_runs(self, quick_run):
+        (table,) = quick_run("robustness_overhead")
         rows = {row["configuration"]: row for row in table.rows}
         assert "planner loop (no fault tolerance)" in rows
         assert all(row["identical"] for row in rows.values())

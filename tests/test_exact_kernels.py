@@ -14,6 +14,10 @@ traversal:
   cancellation (different but equally valid summation order; the exact
   equality classes are pinned in ``tests/test_numerics_vec.py``).
 
+The dispatcher also evaluates many small components of one key
+structure in lockstep (``det_shared_lockstep_rows``), which must equal
+``"fast"`` and ``"reference"`` bit for bit, row by row.
+
 The tri-kernel suite drives all three over the same inputs — paper
 examples, preprocessed partitions, raw datasets, hypothesis-generated
 spaces — and over the budget/deadline/duplicate edge cases.
@@ -26,12 +30,17 @@ import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dominance import dominance_factors as engine_factors
 from repro.core.dynamic import DynamicSkylineEngine
 from repro.core.exact import (
     DET_KERNELS,
     VEC_CROSSOVER,
+    _LOCKSTEP_MIN_ROWS,
+    Component,
+    _det_shared_fast,
+    _det_shared_reference,
     _solve,
     det_from_factor_lists,
     skyline_probability_det,
@@ -39,6 +48,7 @@ from repro.core.exact import (
 from repro.core.exact_vec import (
     VEC_MAX_OBJECTS,
     _structure,
+    det_shared_lockstep_rows,
     det_shared_vec_rows,
 )
 from repro.core.engine import SkylineProbabilityEngine
@@ -55,6 +65,7 @@ from repro.errors import (
 from strategies import (
     disjoint_instance,
     shared_value_instance,
+    structure_rows,
     uncertain_instance,
 )
 
@@ -543,11 +554,18 @@ class TestGroupedDispatch:
             for c in components
             if VEC_CROSSOVER <= len(c) <= VEC_MAX_OBJECTS
         }
+        small = [_structure(c)[0] for c in components if len(c) < VEC_CROSSOVER]
+        lockstep = {s for s in small if small.count(s) >= _LOCKSTEP_MIN_ROWS}
         # every recursive solve is announced with its position, in order,
-        # then each group: one call per structure, and the scaled copies
-        # shared one
-        alone = [p for p, c in enumerate(components) if len(c) < VEC_CROSSOVER]
-        assert solves == alone + [None] * len(vec)
+        # then each group: one call per structure (small structures with
+        # enough rows run in lockstep), and the scaled copies shared one
+        alone = [
+            p
+            for p, c in enumerate(components)
+            if len(c) < VEC_CROSSOVER and _structure(c)[0] not in lockstep
+        ]
+        assert lockstep
+        assert solves == alone + [None] * (len(lockstep) + len(vec))
         assert len(vec) < sum(1 for c in components if VEC_CROSSOVER <= len(c))
 
     def test_failing_component_fails_only_itself(self):
@@ -698,3 +716,257 @@ class TestBudgetsAndValidation:
         )
         assert unshared.probability == pytest.approx(fast.probability, abs=1e-12)
         assert fast == reference
+
+
+#: Factors whose products underflow: 1e-160 squared is 1e-320 (a
+#: subnormal), cubed exactly 0; 5e-324 is the smallest subnormal, so
+#: any factor below 0.5 takes it to exactly 0.
+_TINY_FACTORS = (1e-160, 5e-324)
+
+
+@st.composite
+def lockstep_group(draw):
+    """Rows of one key structure of 1-7 dominators, as ``(structure,
+    rows)``; about a third of the rows hold underflowing factors."""
+    components = draw(structure_rows(max_objects=VEC_CROSSOVER - 1, max_rows=24))
+    structure = _structure(components[0]).structure
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = []
+    for component in components:
+        row = list(_structure(component).row)
+        if rng.random() < 0.35:
+            for position in range(len(row)):
+                if rng.random() < 0.4:
+                    row[position] = rng.choice(_TINY_FACTORS)
+        rows.append(tuple(row))
+    return structure, rows
+
+
+def _assert_rows_equal_recursive_kernels(structure, rows, results):
+    assert len(results) == len(rows)
+    for row, result in zip(rows, results):
+        component = Component(structure, row)
+        for alone in (
+            _det_shared_fast(component),
+            _det_shared_reference(component, None),
+        ):
+            assert repr(result.probability) == repr(alone.probability)
+            assert result.terms_evaluated == alone.terms_evaluated
+            assert result.objects_used == alone.objects_used
+
+
+class TestLockstep:
+    """Small components of one key structure, evaluated in lockstep."""
+
+    @given(lockstep_group())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_fast_and_reference_bit_for_bit(self, group):
+        structure, rows = group
+        results = det_shared_lockstep_rows(structure, rows)
+        _assert_rows_equal_recursive_kernels(structure, rows, results)
+
+    def test_underflow_rows_prune_like_fast(self):
+        # Three objects of disjoint keys: a row of 1e-160 factors keeps
+        # its pairs (1e-320, a subnormal) and zeros its triple; 5e-324
+        # times 0.4 is exactly 0, so that row prunes below its pairs.
+        structure = ((0,), (1,), (2,))
+        rows = [
+            (0.5, 0.25, 0.75),
+            (1e-160, 1e-160, 1e-160),
+            (5e-324, 0.4, 0.9),
+            (1e-160, 5e-324, 1.0),
+        ]
+        results = det_shared_lockstep_rows(structure, rows)
+        _assert_rows_equal_recursive_kernels(structure, rows, results)
+        assert [r.terms_evaluated for r in results] == [7, 7, 6, 6]
+
+    def test_every_dominator_count_below_the_crossover(self):
+        rng = random.Random(24)
+        for n in range(1, VEC_CROSSOVER):
+            # Each object holds one key of its own and one of three
+            # shared keys, so later objects meet covered keys.
+            structure = tuple((2 * t, 1 + 2 * (t % 3)) for t in range(n))
+            ids = sorted({i for ids in structure for i in ids})
+            renumber = {old: new for new, old in enumerate(ids)}
+            structure = tuple(tuple(renumber[i] for i in ids) for ids in structure)
+            rows = [
+                tuple(
+                    rng.choice(_TINY_FACTORS) if rng.random() < 0.1 else rng.random()
+                    for _ in range(2 * n)
+                )
+                for _ in range(40)
+            ]
+            results = det_shared_lockstep_rows(structure, rows)
+            _assert_rows_equal_recursive_kernels(structure, rows, results)
+
+    def test_rows_run_in_slices(self, monkeypatch):
+        from repro.core import exact_vec
+
+        structure = ((0, 1), (1, 2), (0, 3))
+        rng = random.Random(5)
+        rows = [tuple(rng.random() for _ in range(6)) for _ in range(11)]
+        whole = det_shared_lockstep_rows(structure, rows)
+        # 2^3 products and 6 factors per row: a 28-float slice holds 2.
+        monkeypatch.setattr(exact_vec, "SLICE_FLOATS", 28)
+        assert [repr(r) for r in det_shared_lockstep_rows(structure, rows)] == [
+            repr(r) for r in whole
+        ]
+
+    def test_empty_structure(self):
+        assert det_shared_lockstep_rows((), [(), ()]) == [
+            det_from_factor_lists([])
+        ] * 2
+
+
+class TestLockstepDispatch:
+    """Which components ``_solve`` evaluates in lockstep, and in what order."""
+
+    @staticmethod
+    def _copies(factor_lists, count, start=0):
+        return [
+            [
+                tuple((j, v, f * (1.0 - (start + r) / 64)) for j, v, f in factors)
+                for factors in factor_lists
+            ]
+            for r in range(count)
+        ]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(evaluator, rows) of every grouped evaluation."""
+        import repro.core.exact_vec as exact_vec
+
+        seen = []
+        lockstep = exact_vec.det_shared_lockstep_rows
+        vec = exact_vec.det_shared_vec_rows
+
+        def recording_lockstep(structure, rows):
+            seen.append(("lockstep", len(rows)))
+            return lockstep(structure, rows)
+
+        def recording_vec(structure, rows, deadline_at=None):
+            seen.append(("vec", len(rows)))
+            return vec(structure, rows, deadline_at)
+
+        monkeypatch.setattr(exact_vec, "det_shared_lockstep_rows", recording_lockstep)
+        monkeypatch.setattr(exact_vec, "det_shared_vec_rows", recording_vec)
+        return seen
+
+    @pytest.fixture(scope="class")
+    def dominators(self):
+        dataset = block_zipf_dataset(60, 4, blocks=1, seed=230)
+        preferences = HashedPreferenceModel(4, seed=231)
+        lists = [
+            engine_factors(preferences, competitor, dataset[0])
+            for competitor in dataset.others(0)
+        ]
+        return [f for f in lists if f and all(p != 0.0 for _, _, p in f)]
+
+    def test_large_small_groups_run_in_lockstep(self, calls, dominators):
+        grouped = self._copies(dominators[:3], _LOCKSTEP_MIN_ROWS)
+        lone = self._copies(dominators[3:5], _LOCKSTEP_MIN_ROWS - 1)
+        large = self._copies(dominators[:VEC_CROSSOVER], 2)
+        # Interleaved, with an underflowing row in the lockstep group.
+        components = []
+        for index in range(_LOCKSTEP_MIN_ROWS):
+            components.append(grouped[index])
+            if index < len(lone):
+                components.append(lone[index])
+        components[2] = [
+            tuple((j, v, 1e-160) for j, v, _ in factors) for factors in components[2]
+        ]
+        components += large
+        solves = []
+        outcomes = _solve(
+            components, max_objects=25, kernel="auto", deadline_at=None,
+            progress=solves.append,
+        )
+        assert calls == [("lockstep", _LOCKSTEP_MIN_ROWS), ("vec", 2)]
+        for component, outcome in zip(components, outcomes):
+            alone = det_from_factor_lists(component)
+            assert repr(outcome) == repr(alone)
+            if len(component) < VEC_CROSSOVER:
+                assert outcome == det_from_factor_lists(component, kernel="reference")
+        assert outcomes[2].terms_evaluated < 7
+        # The lone components are announced by position, in order, then
+        # one None before each group.
+        lone_positions = [p for p, c in enumerate(components) if len(c) == 2]
+        assert solves == lone_positions + [None, None]
+
+    def test_explicit_fast_kernel_uses_lockstep(self, calls, dominators):
+        components = self._copies(dominators[:4], _LOCKSTEP_MIN_ROWS)
+        outcomes = _solve(
+            components, max_objects=25, kernel="fast", deadline_at=None
+        )
+        assert calls == [("lockstep", _LOCKSTEP_MIN_ROWS)]
+        for component, outcome in zip(components, outcomes):
+            assert repr(outcome) == repr(
+                det_from_factor_lists(component, kernel="fast")
+            )
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(kernel="auto", deadline_at=time.monotonic() + 3600),
+            dict(kernel="auto", deadline_at=None, max_terms=10**6),
+            dict(kernel="auto", deadline_at=None, share_computation=False),
+            dict(kernel="reference", deadline_at=None),
+        ],
+        ids=["deadline", "max_terms", "no_sharing", "reference"],
+    )
+    def test_routes_that_keep_their_kernel(self, calls, dominators, options):
+        components = self._copies(dominators[:3], _LOCKSTEP_MIN_ROWS)
+        outcomes = _solve(components, max_objects=25, **options)
+        assert calls == []
+        for component, outcome in zip(components, outcomes):
+            if options.get("share_computation", True):
+                expected = det_from_factor_lists(component, kernel="reference")
+            else:
+                expected = _solve(
+                    [component], max_objects=25, kernel="auto",
+                    deadline_at=None, share_computation=False,
+                )[0]
+            assert repr(outcome) == repr(expected)
+
+    def test_vec_kernel_and_large_fast_components_skip_lockstep(
+        self, calls, dominators
+    ):
+        small = self._copies(dominators[:3], _LOCKSTEP_MIN_ROWS)
+        _solve(small, max_objects=25, kernel="vec", deadline_at=None)
+        assert calls == [("vec", _LOCKSTEP_MIN_ROWS)]
+        large = self._copies(dominators[:VEC_CROSSOVER], _LOCKSTEP_MIN_ROWS)
+        outcomes = _solve(large, max_objects=25, kernel="fast", deadline_at=None)
+        assert calls == [("vec", _LOCKSTEP_MIN_ROWS)]
+        assert outcomes[0] == det_from_factor_lists(large[0], kernel="reference")
+
+    def test_obs_counters_equal_one_component_calls(self, dominators):
+        import repro.obs as obs
+
+        components = self._copies(dominators[:5], _LOCKSTEP_MIN_ROWS)
+        components[0] = [
+            tuple((j, v, 5e-324) for j, v, _ in factors) for factors in components[0]
+        ]
+        names = (
+            "repro_exact_runs_total",
+            "repro_ie_terms_evaluated_total",
+            "repro_ie_terms_zero_pruned_total",
+        )
+
+        def counters(run):
+            with obs.enabled():
+                registry = obs.registry()
+                before = [registry.counter(name).value() for name in names]
+                run()
+                return [
+                    registry.counter(name).value() - start
+                    for name, start in zip(names, before)
+                ]
+
+        grouped = counters(
+            lambda: _solve(components, max_objects=25, kernel="auto", deadline_at=None)
+        )
+        alone = counters(
+            lambda: [det_from_factor_lists(c) for c in components]
+        )
+        assert grouped == alone
+        assert grouped[2] > 0  # the underflowing row pruned terms
