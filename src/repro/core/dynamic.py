@@ -15,9 +15,10 @@ paper's own structure as the unit of invalidation:
 * **Theorem 3 (absorption)** — absorption depends only on which values the
   objects carry, never on the preference probabilities, so a preference
   edit can never change the absorption structure; only the zero-probability
-  filter (and hence component membership) can flip, which the refresh
-  detects by re-running the cheap polynomial pipeline and re-using every
-  factor whose membership and key set are untouched.
+  filter (and hence component membership) can flip.  A refreshed target
+  therefore keeps its components: each one that reads an edited pair gets
+  a new factor row from its own members, and only a read pair that
+  crosses 0 (or becomes unreadable) re-plans the target.
 
 Edit cost model:
 
@@ -37,11 +38,12 @@ Edit cost model:
   survivor's); otherwise the target is refreshed with component-level
   factor reuse.
 
-The warm-up and every edit plan their targets through the static
-engine's planning step (the tile pass once the targets' cells reach its
-crossover; a remove plans one target at a time) and make one exact
-call, so ``"vec"`` components of one key structure are solved together;
-only the components that must be re-solved go to that call.
+The warm-up, an insert's new object, a remove and a preference edit's
+zero crossings plan their targets through the static engine's planning
+step (the tile pass once the targets' cells reach its crossover; a
+remove plans one target at a time).  Every edit makes one exact call,
+so ``"vec"`` components of one key structure are solved together; only
+the components that must be re-solved go to that call.
 
 Every edit is **transactional**: new view state is staged and swapped in
 only after the whole edit succeeds, and a failed ``update_preference``
@@ -818,10 +820,13 @@ class DynamicSkylineEngine:
         if some object holds it: each pair logged since the last sync
         refreshes those targets, re-solving the components whose keys
         hold that value, and drops the memoised answers whose read keys
-        do.  A gap the log does not cover rebuilds every view and clears
-        the memo.  Nothing is committed unless the whole repair succeeds.
-        Returns ``(targets refreshed, components solved, components
-        reused, memoised answers dropped)``.
+        do.  A refreshed target is repaired in place (:meth:`_repair`)
+        unless a pair it reads crossed 0 or became unreadable; then it is
+        re-planned.  A gap the log does not cover rebuilds every view and
+        clears the memo.
+        Nothing is committed unless the whole repair succeeds.  Returns
+        ``(targets refreshed, components solved, components reused,
+        memoised answers dropped)``.
         """
         version = self._preferences.version
         if version == self._version:
@@ -835,6 +840,8 @@ class DynamicSkylineEngine:
             )
             self._views = self._solve_views(self._engine, staged, components)
             restricted = self._purge_restricted(lambda entry: True)
+            if self._version >= 0:  # not the build at construction
+                _record_routes(0, len(self._views))
             self._version = version
             return len(self._views), solved, 0, restricted
         # Per dimension: a value -> the keys its holders read edited pairs by.
@@ -859,14 +866,33 @@ class DynamicSkylineEngine:
         refresh = [k for k, keys in touched.items() if not keys.isdisjoint(present)]
         for step in range(len(refresh)):
             self._failpoint(step)
-        staged, recomputed, reused = self._plan_views(
-            self._engine, refresh, components,
-            [self._views[k] for k in refresh], [touched[k] for k in refresh],
-        )
+        local: List[int] = []
+        staged: List[_Staged] = []
+        replan: List[int] = []
+        for index in refresh:
+            repaired = self._repair(
+                self._views[index], touched[index] & present, components
+            )
+            if repaired is None:
+                replan.append(index)
+            else:
+                local.append(index)
+                staged.append(repaired)
+        recomputed = len(components)
+        reused = sum(len(entries) for _, entries in staged) - recomputed
+        if replan:
+            planned, solved, kept = self._plan_views(
+                self._engine, replan, components,
+                [self._views[k] for k in replan], [touched[k] for k in replan],
+            )
+            staged += planned
+            recomputed += solved
+            reused += kept
         views = self._solve_views(self._engine, staged, components)
         # Commit.
-        for index, view in zip(refresh, views):
+        for index, view in zip(local + replan, views):
             self._views[index] = view
+        _record_routes(len(local), len(replan))
 
         def stale(entry: _RestrictedEntry) -> bool:
             for dimension, held in reads.items():
@@ -878,6 +904,54 @@ class DynamicSkylineEngine:
         restricted = self._purge_restricted(stale)
         self._version = version
         return len(refresh), recomputed, reused, restricted
+
+    def _repair(
+        self,
+        view: TargetView,
+        read: AbstractSet[_Key],
+        components: List[Component],
+    ) -> _Staged | None:
+        """Stage ``view``'s repair after an edit of the pairs it reads by ``read``.
+
+        A preference edit changes no ``Γ``, so absorption and partition
+        stand; the kept set moves only when a read pair crosses 0.  Every
+        competitor holding a key reads the same pair, so a factor
+        holding it proves the pair was nonzero when the view was built.
+        A key no factor holds (its holders were absorbed, impossible, or
+        read a 0) and a pair now 0 or unreadable return ``None``: the
+        target must be re-planned.  Otherwise each factor holding a key
+        in ``read`` gets a new row from its own members, read through the
+        cache's preference table and appended to ``components`` for the
+        edit's exact call, and every other factor is kept.
+        """
+        target = view.target
+        prefers = self._preferences.prob_prefers
+        for key in read:
+            if not any(key in factor.keys for factor in view.factors):
+                return None
+            dimension, value = key
+            try:
+                if prefers(dimension, value, target[dimension]) == 0.0:
+                    return None
+            except Exception:
+                return None  # the re-plan raises it
+        cached = self._cache.prob_prefers
+        entries: List[PartitionFactor | _Pending] = []
+        for factor in view.factors:
+            if factor.keys.isdisjoint(read):
+                entries.append(factor)
+                continue
+            entries.append(_Pending(factor.members, len(components)))
+            components.append(
+                _component(
+                    [
+                        (dimension, value, cached(dimension, value, target[dimension]))
+                        for dimension, value in _differing_keys(member, target)
+                    ]
+                    for member in factor.members
+                )
+            )
+        return target, entries
 
     def _plan_views(
         self,
@@ -1135,3 +1209,18 @@ def _record_edit(report: EditReport) -> None:
             "repro_dynamic_cache_evictions_total",
             "DominanceCache entries evicted by preference edits.",
         ).inc(report.cache_evictions)
+
+
+def _record_routes(local: int, replan: int) -> None:
+    """Count one catch-up's refreshed targets by route (no-op while obs is disabled)."""
+    if not obs.is_enabled():
+        return
+    counter = obs.registry().counter(
+        "repro_dynamic_targets_refreshed_total",
+        "Targets refreshed after preference edits, by route: repaired in "
+        "place (local) or re-planned (replan).",
+    )
+    if local:
+        counter.inc(local, route="local")
+    if replan:
+        counter.inc(replan, route="replan")

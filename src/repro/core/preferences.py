@@ -43,8 +43,10 @@ _PROBABILITY_TOLERANCE = 1e-9
 # Edits `PreferenceModel._edits_since` reaches back over: a derived state
 # repairs a gap the log covers and rebuilds past it, never with another answer.
 # Direct-edit elicitation leaves one-pair gaps.  On the elicitation benchmark's
-# 120-object engine (2-vCPU Xeon) a repair beat a rebuild (200-290 ms) up to
-# 1,536 pairs (175 ms at 1,024) but not at 2,048 (269 ms).  Full: about 110 KB.
+# 120-object engine (2-vCPU Xeon), with views repaired in place, catching up
+# took 55-64 ms after 256 random pairs and 118-133 ms after 1,024, and stayed
+# at 120-129 ms after 1,536, against 121-220 ms for a rebuild: past about
+# 1,024 pairs a repair stops beating a rebuild.  Full: about 110 KB.
 _EDIT_LOG_LENGTH = 1024
 
 

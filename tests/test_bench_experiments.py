@@ -130,6 +130,17 @@ class TestShapes:
         assert max(estimates) - min(estimates) < 0.1
         samplers = table.column("sampler")
         assert "antithetic" in samplers
+        # a target with sky near 0 would let every sampler agree trivially
+        assert all(table.column("informative"))
+        for row in table.rows:
+            assert abs(row["estimate"] - row["exact sky"]) <= row["Hoeffding epsilon"]
+
+    def test_dynamic_updates_repairs_locally(self, quick_run):
+        edits, _ = quick_run("dynamic_updates")
+        assert all(edits.column("identical"))
+        rows = {row["workload"]: row for row in edits.rows}
+        update = rows["update one preference pair"]
+        assert update["partitions recomputed"] * 10 <= update["total partitions"]
 
     def test_ablation_blocksize_detplus_grows(self, quick_run):
         (table,) = quick_run("ablation_blocksize")
