@@ -969,6 +969,9 @@ def run_ablation_sharing(scale: str) -> List[ExperimentTable]:
 #: Rounds of :func:`_interleaved_median_seconds`.
 _TIMING_ROUNDS = 5
 
+#: Timed repetitions of each ``dynamic_updates`` edit (the median counts).
+_EDIT_REPEATS = 5
+
 
 def _interleaved_median_seconds(
     calls: Dict[object, Callable[[], object]],
@@ -1558,14 +1561,19 @@ def run_dynamic_updates(scale: str) -> List[ExperimentTable]:
     n, d = (600, 4) if scale == "full" else (48, 3)
     dataset = block_zipf_dataset(n, d, seed=321)
     preferences = HashedPreferenceModel(d, seed=322)
-    engine, build_seconds = time_call(
-        DynamicSkylineEngine, dataset, preferences
-    )
+    engine = DynamicSkylineEngine(dataset, preferences)
 
     def rebuild() -> DynamicSkylineEngine:
         return DynamicSkylineEngine(
             Dataset(list(engine.dataset)), engine.preferences.copy()
         )
+
+    def rebuild_seconds() -> Tuple[DynamicSkylineEngine, float]:
+        """A rebuild of the current state, and the median time of one."""
+        rebuilt, seconds = _interleaved_median_seconds(
+            {"rebuild": rebuild}, budget=1e-9
+        )
+        return rebuilt["rebuild"], seconds["rebuild"]
 
     def fresh_insert_values() -> tuple:
         # A new value combination from within one block: it perturbs that
@@ -1602,6 +1610,7 @@ def run_dynamic_updates(scale: str) -> List[ExperimentTable]:
             "partitions_recomputed far below the maintained total"
         ),
     )
+    build_seconds = rebuild_seconds()[1]
     table.add_row(
         workload="initial build (baseline state)",
         **{
@@ -1614,25 +1623,53 @@ def run_dynamic_updates(scale: str) -> List[ExperimentTable]:
             "identical": True,
         },
     )
+    # Each edit is timed _EDIT_REPEATS times, every time from the baseline
+    # state: an untimed inverse edit (and the read that catches the views
+    # up with a direct model edit) restores it after each timing.
+    pair = (0, engine.dataset[0][0], engine.dataset[n // 2][0])
+    inserted = fresh_insert_values()
+    removed = engine.dataset[n // 3]
+
+    def unsharpen() -> None:
+        engine.preferences.delete_preference(*pair)
+        engine.skyline_probabilities()
+
+    # The removed object is re-inserted last: move it there first, so
+    # every timed remove starts from the state its re-insert restores.
+    engine.remove_object(removed)
+    engine.insert_object(removed)
     edits = (
         (
             "update one preference pair",
-            lambda: engine.update_preference(
-                0, engine.dataset[0][0], engine.dataset[n // 2][0], 0.9, 0.05
-            ),
+            lambda: engine.update_preference(*pair, 0.9, 0.05),
+            unsharpen,
         ),
-        ("insert one object", lambda: engine.insert_object(fresh_insert_values())),
-        ("remove one object", lambda: engine.remove_object(n // 3)),
+        (
+            "insert one object",
+            lambda: engine.insert_object(inserted),
+            lambda: engine.remove_object(inserted),
+        ),
+        (
+            "remove one object",
+            lambda: engine.remove_object(removed),
+            lambda: engine.insert_object(removed),
+        ),
     )
-    for workload, edit in edits:
-        report, incremental_seconds = time_call(edit)
-        rebuilt, rebuild_seconds = time_call(rebuild)
+    for workload, edit, restore in edits:
+        times = []
+        for repeat in range(_EDIT_REPEATS):
+            if repeat:
+                restore()
+            report, seconds = time_call(edit)
+            times.append(seconds)
+        rebuilt, rebuilt_seconds = rebuild_seconds()
+        incremental_seconds = statistics.median(times)
         table.add_row(
             workload=workload,
             **{
                 "incremental seconds": incremental_seconds,
-                "rebuild seconds": rebuild_seconds,
-                "speedup": rebuild_seconds / incremental_seconds,
+                "rebuild seconds": rebuilt_seconds,
+                "speedup": rebuilt_seconds / incremental_seconds,
                 "targets refreshed": report.targets_refreshed,
                 "partitions recomputed": report.partitions_recomputed,
                 "total partitions": engine.total_partitions,
@@ -1640,6 +1677,7 @@ def run_dynamic_updates(scale: str) -> List[ExperimentTable]:
                 == rebuilt.skyline_probabilities(),
             },
         )
+        restore()
     return [table, _warm_build_table(scale)]
 
 
@@ -2455,7 +2493,11 @@ def run_tile_planning(scale: str) -> List[ExperimentTable]:
 
         def answer(chunk: int | None) -> Tuple[str, ...]:
             cache = DominanceCache(preferences)
-            cache._prefers.update(warm._prefers)
+            cache._prefers.update(
+                (j, {b: dict(row) for b, row in rows.items()})
+                for j, rows in warm._prefers.items()
+            )
+            cache._cells = warm._cells
             result = batch_skyline_probabilities(
                 SkylineProbabilityEngine(dataset, preferences),
                 cache=cache,

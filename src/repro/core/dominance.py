@@ -22,7 +22,7 @@ per-object factor lists the exact algorithm and the samplers consume.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 
 from repro.core.objects import ObjectValues, Value
 from repro.core.preferences import PreferenceModel
@@ -144,13 +144,17 @@ class DominanceCache:
     or every entry when the log no longer reaches back, so stale answers
     are impossible by construction.
 
+    Preferences are memoised in rows, ``{dimension: {b: {a: Pr(a ≺ b)}}}``,
+    as the model stores them: the tile pass's bulk read
+    (:meth:`_resolve_many`) answers all pairs of one ``(dimension, b)``
+    from one memo row, filling its misses from the model's row.
+
     ``hits``/``misses`` count memo-table lookups (both tables) — they are
     bookkeeping for benchmarks and tests, not part of the answer.  A
     factor miss counts one lookup of the factor table plus one per
-    preference it reads; the tile pass's bulk read
-    (:meth:`_resolve_many`) makes no factor-table lookups and counts one
-    per preference its factor rows read — a miss when the model had to
-    answer, a hit otherwise.
+    preference it reads; the bulk read makes no factor-table lookups and
+    counts one per preference its factor rows read — a miss when the
+    model had to answer, a hit otherwise.
 
     The cache is **thread-safe**: every lookup and mutation runs under one
     internal lock, taken once per call, so concurrent queries sharing one
@@ -165,6 +169,7 @@ class DominanceCache:
         "_preferences",
         "_version",
         "_prefers",
+        "_cells",
         "_factors",
         "_hits",
         "_misses",
@@ -176,7 +181,9 @@ class DominanceCache:
     def __init__(self, preferences: PreferenceModel) -> None:
         self._preferences = preferences
         self._version = preferences.version
-        self._prefers: Dict[Tuple[int, Value, Value], float] = {}
+        # _prefers[dimension][b][a] == Pr(a ≺ b); _cells counts them.
+        self._prefers: Dict[int, Dict[Value, Dict[Value, float]]] = {}
+        self._cells = 0
         self._factors: Dict[
             Tuple[Tuple[Value, ...], Tuple[Value, ...]], Tuple[DominanceFactor, ...]
         ] = {}
@@ -206,7 +213,7 @@ class DominanceCache:
     @property
     def entries(self) -> int:
         """Currently memoised entries across both tables."""
-        return len(self._prefers) + len(self._factors)
+        return self._cells + len(self._factors)
 
     @property
     def evictions(self) -> int:
@@ -234,6 +241,7 @@ class DominanceCache:
         """Drop every memoised entry (counters are kept)."""
         with self._lock:
             self._prefers.clear()
+            self._cells = 0
             self._factors.clear()
             self._index = None
 
@@ -245,6 +253,7 @@ class DominanceCache:
         edits = self._preferences._edits_since(self._version)
         if edits is None:
             self._prefers.clear()
+            self._cells = 0
             self._factors.clear()
             self._index = None
         else:
@@ -259,10 +268,7 @@ class DominanceCache:
         later miss files its entry there, so an eviction reads only the
         competitors memoised against targets holding ``a`` or ``b``.
         """
-        removed = 0
-        for key in ((dimension, a, b), (dimension, b, a)):
-            if self._prefers.pop(key, None) is not None:
-                removed += 1
+        removed = self._evict_cells(dimension, a, b)
         if self._index is None:
             self._index = {}
             for q, o in self._factors:
@@ -283,64 +289,136 @@ class DominanceCache:
             removed += len(stale)
         return removed
 
+    def _evict_cells(self, dimension: int, a: Value, b: Value) -> int:
+        """Drop the memoised preferences of the ``{a, b}`` pair; return how many."""
+        rows = self._prefers.get(dimension)
+        if rows is None:
+            return 0
+        removed = 0
+        for better, worse in ((a, b), (b, a)):
+            row = rows.get(worse)
+            if row is not None and row.pop(better, None) is not None:
+                removed += 1
+        self._cells -= removed
+        return removed
+
+    def _preference_cells(self) -> Iterator[Tuple[Tuple[int, Value, Value], float]]:
+        """Every memoised preference as ``((dimension, a, b), Pr(a ≺ b))``."""
+        for dimension, rows in self._prefers.items():
+            for b, row in rows.items():
+                for a, probability in row.items():
+                    yield (dimension, a, b), probability
+
+    def _memo_row(self, dimension: int, b: Value) -> Dict[Value, float]:
+        """The memo row ``{a: Pr(a ≺ b)}`` of ``(dimension, b)``, made if new."""
+        rows = self._prefers.get(dimension)
+        if rows is None:
+            rows = self._prefers[dimension] = {}
+        row = rows.get(b)
+        if row is None:
+            row = rows[b] = {}
+        return row
+
+    def _model_rows(self) -> Callable[[int, Value], Mapping | None] | None:
+        """The model's row accessor; ``None`` for a model that answers
+        through its own ``prob_prefers`` (procedural subclasses, one set
+        on the instance, duck-typed wrappers)."""
+        model = self._preferences
+        base = getattr(type(model), "prob_prefers", None) is PreferenceModel.prob_prefers
+        if not base or "prob_prefers" in getattr(model, "__dict__", ()):
+            return None
+        return model._row
+
     def prob_prefers(self, dimension: int, a: Value, b: Value) -> float:
         """Memoised ``PreferenceModel.prob_prefers``."""
         with self._lock:
             self._validate()
-            key = (dimension, a, b)
             try:
-                value = self._prefers[key]
+                value = self._prefers[dimension][b][a]
             except KeyError:
                 self._misses += 1
                 value = self._preferences.prob_prefers(dimension, a, b)
-                self._prefers[key] = value
+                self._memo_row(dimension, b)[a] = value
+                self._cells += 1
                 return value
             self._hits += 1
             return value
 
     def _resolve_many(
         self,
-        pairs: Sequence[Tuple[int, Value, Value]],
+        groups: Sequence[Tuple[int, Value, Sequence[Value]]],
         reads: Sequence[int],
+        order: Callable[[], Sequence[int]] | None = None,
     ) -> Tuple[List[float], Dict[int, Exception]]:
         """Many memoised ``prob_prefers`` lookups under one lock.
 
-        The tile pass's bulk read (:mod:`repro.core.preprocess`):
-        ``pairs`` are distinct ``(dimension, a, b)`` keys and ``reads[k]``
-        counts the factors that read ``pairs[k]``.  Each pair is resolved
-        as a factor miss resolves it — version check, memo read, a model
-        call on a miss — and its reads count as that many lookups: one
-        miss when the model answered it, hits for the rest.  Returns the
-        probabilities and, by position, the exception of each model call
-        that raised (its probability is NaN); such a call counts one miss
-        and stores nothing.
+        The tile pass's bulk read (:mod:`repro.core.preprocess`): a group
+        ``(dimension, b, competitors)`` asks ``Pr(a ≺ b)`` for each ``a``
+        of ``competitors``.  Its pairs, numbered flat group after group,
+        are distinct, and ``reads[k]`` counts the factors that read pair
+        ``k``.  A group reads one memo row, and its misses from the
+        model's row in bulk.  A pair that row lacks (unset: the default
+        applies, or the read raises), and every pair of a model that
+        answers through its own ``prob_prefers`` (:meth:`_model_rows`),
+        is read by a model ``prob_prefers`` call, all such calls in
+        ascending ``order()`` (a sort key per pair; pair order without
+        it).  Each pair counts as a factor miss counts it: one miss when
+        the model answered it, hits for the rest of its reads.  Returns
+        the probabilities and, by position, the exception of each model
+        call that raised (its probability is NaN); such a call counts
+        one miss and stores nothing.
         """
         with self._lock:
             if self._preferences.version != self._version:
                 self._validate()
-            prefers = self._prefers
-            resolved = list(map(prefers.get, pairs))
-            errors: Dict[int, Exception] = {}
-            hits = sum(reads)
+            model_rows = self._model_rows()
+            resolved: List[float] = []
+            # (position, dimension, a, b, memo row) of each model call.
+            calls: List[Tuple[int, int, Value, Value, Dict[Value, float]]] = []
             misses = 0
-            # A warm tile finds every pair memoised: skip the scan then.
-            missing = (
-                [k for k, known in enumerate(resolved) if known is None]
-                if None in resolved
-                else []
-            )
-            for position in missing:
-                pair = pairs[position]
-                misses += 1
-                hits -= 1
+            for dimension, b, competitors in groups:
+                row = self._memo_row(dimension, b)
+                found = list(map(row.get, competitors)) if row else [None] * len(competitors)
+                if None not in found:
+                    resolved += found
+                    continue
+                source = None if model_rows is None else model_rows(dimension, b)
+                if source is not None:
+                    # The memo's cell where it has one, else the model's.
+                    found = list(
+                        map(row.get, competitors, map(source.get, competitors))
+                        if row
+                        else map(source.get, competitors)
+                    )
+                stored, pending = len(row), len(calls)
+                if None in found:
+                    position = len(resolved)
+                    for k, (a, probability) in enumerate(zip(competitors, found)):
+                        if probability is None:
+                            calls.append((position + k, dimension, a, b, row))
+                        else:
+                            row[a] = probability
+                else:
+                    row.update(zip(competitors, found))
+                stored = len(row) - stored
+                self._cells += stored
+                misses += stored + len(calls) - pending
+                resolved += found
+            hits = sum(reads) - misses
+            errors: Dict[int, Exception] = {}
+            if len(calls) > 1 and order is not None:
+                key = order()
+                calls.sort(key=lambda call: key[call[0]])
+            for position, dimension, a, b, row in calls:
                 try:
-                    probability = self._preferences.prob_prefers(*pair)
+                    probability = self._preferences.prob_prefers(dimension, a, b)
                 except Exception as error:
                     errors[position] = error
                     resolved[position] = float("nan")
                     hits -= reads[position] - 1
                     continue
-                prefers[pair] = resolved[position] = probability
+                row[a] = resolved[position] = probability
+                self._cells += 1
             self._hits += hits
             self._misses += misses
             return resolved, errors
@@ -370,12 +448,15 @@ class DominanceCache:
             for j, qv, ov in zip(range(len(o)), q, o):
                 if qv == ov:
                     continue
-                pair = (j, qv, ov)
-                probability = prefers.get(pair)
+                try:
+                    probability = prefers[j][ov][qv]
+                except KeyError:
+                    probability = None
                 if probability is None:
                     self._misses += 1
                     probability = self._preferences.prob_prefers(j, qv, ov)
-                    prefers[pair] = probability
+                    self._memo_row(j, ov)[qv] = probability
+                    self._cells += 1
                 else:
                     self._hits += 1
                 factors.append((j, qv, probability))

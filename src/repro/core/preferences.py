@@ -141,8 +141,9 @@ class PreferenceModel:
         # Bumped on every mutation; the log keeps the pair each one touched.
         self._version = 0
         self._edit_log: List[tuple | None] = [None] * _EDIT_LOG_LENGTH
-        # _forward[dim][(a, b)] == Pr(a ≺ b); both orientations stored.
-        self._forward: List[Dict[Tuple[Value, Value], float]] = [
+        # _forward[dim][b][a] == Pr(a ≺ b): one row per value, holding
+        # what is preferred to it; both orientations stored.
+        self._forward: List[Dict[Value, Dict[Value, float]]] = [
             {} for _ in range(dimensionality)
         ]
         # Canonical insertion-ordered record of unordered pairs per dim.
@@ -230,8 +231,15 @@ class PreferenceModel:
                 f"Pr({a!r} ≺ {b!r}) + Pr({b!r} ≺ {a!r}) = "
                 f"{forward + backward:.6g} exceeds 1"
             )
-        self._forward[dimension][(a, b)] = forward
-        self._forward[dimension][(b, a)] = backward
+        rows = self._forward[dimension]
+        try:
+            rows[b][a] = forward
+        except KeyError:
+            rows[b] = {a: forward}
+        try:
+            rows[a][b] = backward
+        except KeyError:
+            rows[a] = {b: backward}
         self._pairs[dimension][frozenset((a, b))] = PreferencePair(
             dimension, a, b, forward, backward
         )
@@ -253,8 +261,13 @@ class PreferenceModel:
         if key not in self._pairs[dimension]:
             return False
         del self._pairs[dimension][key]
-        self._forward[dimension].pop((a, b), None)
-        self._forward[dimension].pop((b, a), None)
+        rows = self._forward[dimension]
+        for better, worse in ((a, b), (b, a)):
+            row = rows.get(worse)
+            if row is not None:
+                row.pop(better, None)
+                if not row:
+                    del rows[worse]
         self._logged(dimension, a, b)
         return True
 
@@ -287,7 +300,7 @@ class PreferenceModel:
         if a == b:
             return 0.0
         try:
-            return self._forward[dimension][(a, b)]
+            return self._forward[dimension][b][a]
         except KeyError:
             if self._default is None:
                 raise UnknownPreferenceError(dimension, a, b) from None
@@ -315,7 +328,20 @@ class PreferenceModel:
     def has_preference(self, dimension: int, a: Value, b: Value) -> bool:
         """Whether the pair was explicitly set (ignores the default policy)."""
         self._check_dimension(dimension)
-        return (a, b) in self._forward[dimension]
+        row = self._forward[dimension].get(b)
+        return row is not None and a in row
+
+    def _row(self, dimension: int, b: Value) -> Dict[Value, float] | None:
+        """``{a: Pr(a ≺ b)}`` over the pairs set with ``b`` on ``dimension``.
+
+        The live row, for bulk reads that must not change it; ``None``
+        when no pair holding ``b`` is set or ``dimension`` is not an
+        ``int`` in range.  Unset pairs are absent: the ``default`` policy
+        is :meth:`prob_prefers`' alone.
+        """
+        if type(dimension) is not int or not 0 <= dimension < self._dimensionality:
+            return None
+        return self._forward[dimension].get(b)
 
     def pairs(self, dimension: int) -> Iterator[PreferencePair]:
         """Explicitly-set pairs on ``dimension``, in insertion order."""

@@ -561,19 +561,20 @@ def _read_factors(
 
     ``cells`` are ``(target, competitor, dimension)`` index arrays in
     that order; each distinct preference pair they read is resolved
-    once, through one bulk read of ``cache``.  A failed read's factor
-    is NaN.
+    once, through one bulk read of ``cache``, grouped by dimension and
+    target value so that each group reads one row.  A failed read's
+    factor is NaN.
     """
     cell_t, cell_i, cell_j = cells
     span = max(map(len, values))
-    pair = (cell_j * span + pool_codes[cell_i, cell_j]) * span
-    pair += target_codes[cell_t, cell_j]
+    pair = (cell_j * span + target_codes[cell_t, cell_j]) * span
+    pair += pool_codes[cell_i, cell_j]
     pairs, inverse, reads = np.unique(
         pair, return_inverse=True, return_counts=True
     )
     inverse = inverse.reshape(-1)
     dimension, rest = np.divmod(pairs, span * span)
-    better, worse = np.divmod(rest, span)
+    worse, better = np.divmod(rest, span)
     offsets = np.cumsum([0] + [len(known) for known in values])
     names = np.fromiter(
         (value for known in values for value in known),
@@ -581,15 +582,24 @@ def _read_factors(
         count=int(offsets[-1]),
     )
     base = offsets[dimension]
+    # Pairs sharing a dimension and a target value are contiguous.
+    head = np.flatnonzero(np.diff(pairs // span, prepend=-1))
+    bounds = np.append(head, len(pairs)).tolist()
+    competitors = names[base + better].tolist()
+    groups = [
+        (j, b, competitors[first:last])
+        for j, b, first, last in zip(
+            dimension[head].tolist(),
+            names[base[head] + worse[head]].tolist(),
+            bounds,
+            bounds[1:],
+        )
+    ]
     probabilities, errors = cache._resolve_many(
-        list(
-            zip(
-                dimension.tolist(),
-                names[base + better].tolist(),
-                names[base + worse].tolist(),
-            )
-        ),
+        groups,
         reads.tolist(),
+        # Model calls go by dimension, then competitor, then target code.
+        lambda: ((dimension * span + better) * span + worse).tolist(),
     )
     factor = np.asarray(probabilities, dtype=np.float64)[inverse]
     failures: Dict[int, Exception] = {}

@@ -26,10 +26,7 @@ class FullScanCache(DominanceCache):
     __slots__ = ()
 
     def _evict(self, dimension, a, b):
-        removed = 0
-        for key in ((dimension, a, b), (dimension, b, a)):
-            if self._prefers.pop(key, None) is not None:
-                removed += 1
+        removed = self._evict_cells(dimension, a, b)
         stale = [
             pair_key
             for pair_key in self._factors
@@ -75,7 +72,8 @@ OPERATIONS = st.lists(
 
 def _state(cache):
     counters = cache.counters()  # catches up with the model first
-    return set(cache._factors), set(cache._prefers), counters
+    cells = {key for key, _ in cache._preference_cells()}
+    return set(cache._factors), cells, counters
 
 
 def _edit(model, j, a, b):
@@ -120,7 +118,7 @@ class TestIndexedEvictionEqualsFullScan:
         # Whatever the script, no memoised entry is stale.
         for (q, o), factors in indexed._factors.items():
             assert factors == tuple(dominance_factors(model, q, o))
-        for (j, a, b), probability in indexed._prefers.items():
+        for (j, a, b), probability in indexed._preference_cells():
             assert probability == model.prob_prefers(j, a, b)
 
     def test_index_follows_misses_after_the_first_eviction(self):
